@@ -507,12 +507,10 @@ impl CellSpec {
         let mut h = Fnv::new();
         match &self.work {
             CellWork::Delta(run) => {
+                // Only the 2N trace: the N-run executes its per-core
+                // prefixes (the prefix contract on generated traces), so
+                // its hash covers both runs.
                 let w = run.workload.instantiate();
-                h.u64(
-                    cache
-                        .get_or_build(&*w, run.cores, run.txs_per_core, self.seed)
-                        .content_hash(),
-                );
                 h.u64(
                     cache
                         .get_or_build(&*w, run.cores, run.txs_per_core * 2, self.seed)
@@ -1077,7 +1075,19 @@ fn work_from_json(v: &JsonValue) -> Result<CellWork, String> {
         run_from_json(v.get("run").ok_or(format!("{what} needs a \"run\""))?)
     };
     match req_str(v, "kind", "work")? {
-        "delta" => Ok(CellWork::Delta(run("delta")?)),
+        "delta" => {
+            let run = run("delta")?;
+            // `run_delta_with` asserts the same; rejecting here answers a
+            // daemon client before any worker runs.
+            match &run.workload.arrival {
+                Some(p) if *p != ArrivalProcess::ClosedLoop => Err(format!(
+                    "steady-state deltas need a closed-loop trace, but {} has an arrival schedule ({})",
+                    run.workload.name,
+                    p.ident()
+                )),
+                _ => Ok(CellWork::Delta(run)),
+            }
+        }
         "full" => Ok(CellWork::Full {
             run: run("full")?,
             record_throughput: v
@@ -1791,6 +1801,10 @@ mod tests {
             (
                 r#"{"seed":1,"work":{"kind":"full","run":{"scheme":"Silo","workload":{"name":"Hash","arrival":"warp9"},"cores":1,"txs_per_core":4}}}"#,
                 "unknown arrival",
+            ),
+            (
+                r#"{"seed":1,"work":{"kind":"delta","run":{"scheme":"Silo","workload":{"name":"Hash","arrival":"poisson2000"},"cores":1,"txs_per_core":4}}}"#,
+                "steady-state deltas need a closed-loop trace",
             ),
             (
                 r#"{"seed":1,"work":{"kind":"teleport"}}"#,

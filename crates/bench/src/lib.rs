@@ -105,10 +105,10 @@ pub fn run_one(
     run_streams(scheme_name, &config, &trace)
 }
 
-/// Steady-state measurement of `workload` under `scheme_name`: runs the
-/// deterministic workload twice (N and 2N transactions per core) and
-/// returns the difference, which excludes the setup transaction and any
-/// cold-start effects. This is how every figure generator measures.
+/// Steady-state measurement of `workload` under `scheme_name`: the
+/// difference between the deterministic workload's 2N- and N-transaction
+/// runs, which excludes the setup transaction and any cold-start effects.
+/// This is how every figure generator measures; see [`run_delta_with`].
 pub fn run_one_delta(
     scheme_name: &str,
     workload: &dyn Workload,
@@ -117,23 +117,30 @@ pub fn run_one_delta(
     seed: u64,
 ) -> SimStats {
     let config = SimConfig::table_ii(cores);
-    let cache = TraceCache::global();
-    let short = run_streams(
-        scheme_name,
+    run_delta_with(
         &config,
-        cache.get_or_build(workload, cores, txs_per_core, seed),
-    );
-    let long = run_streams(
-        scheme_name,
-        &config,
-        cache.get_or_build(workload, cores, txs_per_core * 2, seed),
-    );
-    long.delta_from(&short)
+        || make_scheme(scheme_name, &config),
+        workload,
+        txs_per_core,
+        seed,
+    )
 }
 
 /// Steady-state delta measurement with an explicit scheme factory (for
 /// ablations and parameter sweeps). The factory must produce equivalent
 /// fresh schemes for both runs.
+///
+/// Only the 2N trace is resolved. The N-run executes its per-core
+/// N-prefixes ([`silo_sim::TraceSet::prefix`]) and captures a fork
+/// checkpoint where the first core finishes; the 2N-run continues from
+/// that checkpoint, so the shared prefix (the setup transaction and the
+/// first N transactions) is simulated once.
+///
+/// # Panics
+///
+/// Panics if the workload's trace has an arrival schedule (open-system
+/// runs are measured whole, not as deltas), or if the scheme does not
+/// support state snapshotting.
 pub fn run_delta_with(
     config: &SimConfig,
     mut factory: impl FnMut() -> Box<dyn LoggingScheme>,
@@ -141,20 +148,23 @@ pub fn run_delta_with(
     txs_per_core: usize,
     seed: u64,
 ) -> SimStats {
-    let cache = TraceCache::global();
+    let trace = TraceCache::global().get_or_build(workload, config.cores, txs_per_core * 2, seed);
+    assert!(
+        trace.arrivals().is_none(),
+        "steady-state deltas need a closed-loop trace, but {} has an arrival schedule",
+        trace.provenance().workload
+    );
     let mut s1 = factory();
-    let short = run_with_scheme(
-        s1.as_mut(),
-        config,
-        cache.get_or_build(workload, config.cores, txs_per_core, seed),
-    );
+    let mut engine = Engine::new(config, s1.as_mut());
+    EventTraceSink::global().attach(engine.machine_mut());
+    let (short, fork) = engine.run_forking(trace.prefix(txs_per_core));
+    probe::sink_outcome(&short);
     let mut s2 = factory();
-    let long = run_with_scheme(
-        s2.as_mut(),
-        config,
-        cache.get_or_build(workload, config.cores, txs_per_core * 2, seed),
-    );
-    long.delta_from(&short)
+    // The restored probe carries the N-run's switches and the timeline
+    // recorded up to the fork, so no attach here.
+    let long = Engine::new(config, s2.as_mut()).run_from_checkpoint(&trace, fork);
+    probe::sink_outcome(&long);
+    long.stats.delta_from(&short.stats)
 }
 
 /// Runs pre-generated streams (owned `Vec`s or a shared
@@ -461,6 +471,28 @@ mod batched_tests {
         let batched_words: usize = batched[0][1..].iter().map(|t| t.store_count()).sum();
         assert_eq!(plain_words, batched_words);
         assert!(batched[0][1].store_count() >= 3 * plain[0][1].store_count());
+    }
+
+    /// Batching keeps the prefix contract that delta cells rely on.
+    #[test]
+    fn batched_n_streams_are_prefixes_of_2n_streams() {
+        let w = Batched::new(BankWorkload::default(), 3);
+        let short = w.raw_streams(2, 5, 4);
+        let long = w.raw_streams(2, 10, 4);
+        for (s, l) in short.iter().zip(&long) {
+            assert_eq!(l.len() - s.len(), 5);
+            assert!(l[..s.len()] == s[..]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "steady-state deltas need a closed-loop trace")]
+    fn delta_rejects_open_system_traces() {
+        let w = silo_workloads::OpenLoop::new(
+            BankWorkload::default(),
+            silo_workloads::ArrivalProcess::Poisson { mean_gap: 500 },
+        );
+        run_one_delta("Base", &w, 1, 4, 1);
     }
 
     fn argv(parts: &[&str]) -> Vec<String> {

@@ -63,6 +63,14 @@ impl EventTraceSink {
         Ok(())
     }
 
+    /// Flushes and closes the trace file; later runs record nothing.
+    pub fn disable(&self) -> std::io::Result<()> {
+        match self.writer.lock().expect("sink lock").take() {
+            Some(mut w) => w.flush(),
+            None => Ok(()),
+        }
+    }
+
     /// Whether a trace file is open.
     pub fn is_enabled(&self) -> bool {
         self.writer.lock().expect("sink lock").is_some()

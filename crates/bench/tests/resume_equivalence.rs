@@ -1,14 +1,21 @@
-//! Contract tests for checkpointed crash resimulation.
+//! Contract tests for checkpointed resimulation.
 //!
 //! The headline invariant: a crash run resumed from a clean-run checkpoint
 //! is **byte-identical** to the same crash plan executed from scratch —
 //! same `SimStats` JSON (including the probe cycle breakdown), same oracle
 //! verdict, same recovered PM image — for every scheme and every fault
-//! model. The [`silo_types::Snapshot`] round-trip tests below pin the
-//! building block: restoring a snapshot reproduces the captured state
-//! exactly, under randomized operation sequences.
+//! model. The same holds for steady-state deltas, whose 2N-run continues
+//! from a fork checkpoint of the N-run: both runs, the delta and the event
+//! timeline match two from-scratch runs. The [`silo_types::Snapshot`]
+//! round-trip tests below pin the building block: restoring a snapshot
+//! reproduces the captured state exactly, under randomized operation
+//! sequences.
 
-use silo_bench::{make_scheme, TraceCache, ALL_SCHEMES};
+use std::sync::Mutex;
+
+use silo_bench::{
+    make_scheme, run_delta_with, run_with_scheme, EventTraceSink, TraceCache, ALL_SCHEMES,
+};
 use silo_pm::{PagedMedia, PmDevice, PmDeviceConfig};
 use silo_sim::{CheckpointPolicy, CrashPlan, Engine, FaultModel, RunOutcome, SimConfig};
 use silo_types::{Cycles, PhysAddr, Snapshot, SplitMix64};
@@ -152,6 +159,145 @@ fn every_valid_checkpoint_yields_the_same_outcome() {
         resumed_any += 1;
     }
     assert!(resumed_any > 0, "no checkpoint preceded event {n}");
+}
+
+/// Serializes the tests that run through the process-wide event-trace
+/// sink, so one test's timelines never land in another's trace file.
+static SINK_LOCK: Mutex<()> = Mutex::new(());
+
+/// Measured transactions per core of the fork tests' N-run.
+const DELTA_TXS: usize = 8;
+
+/// The N-run and 2N-run of one steady-state delta, each from scratch on
+/// its own generated trace, with cycle accounting on.
+fn scratch_pair(scheme: &str, workload: &str, cores: usize) -> (RunOutcome, RunOutcome) {
+    let config = SimConfig::table_ii(cores);
+    let w = workload_by_name(workload).expect("registered workload");
+    let run = |txs| {
+        let trace = TraceCache::global().get_or_build(w.as_ref(), cores, txs, SEED);
+        let mut s = make_scheme(scheme, &config);
+        let mut engine = Engine::new(&config, s.as_mut());
+        engine.machine_mut().probe.enable_accounting(cores);
+        engine.run(&trace, None)
+    };
+    (run(DELTA_TXS), run(2 * DELTA_TXS))
+}
+
+/// The same pair through the fork: the N-run executes the 2N trace's
+/// prefixes and the 2N-run continues from its fork checkpoint.
+fn forked_pair(scheme: &str, workload: &str, cores: usize) -> (RunOutcome, RunOutcome) {
+    let config = SimConfig::table_ii(cores);
+    let w = workload_by_name(workload).expect("registered workload");
+    let trace = TraceCache::global().get_or_build(w.as_ref(), cores, 2 * DELTA_TXS, SEED);
+    let mut s1 = make_scheme(scheme, &config);
+    let mut e1 = Engine::new(&config, s1.as_mut());
+    e1.machine_mut().probe.enable_accounting(cores);
+    let (short, fork) = e1.run_forking(trace.prefix(DELTA_TXS));
+    let mut s2 = make_scheme(scheme, &config);
+    let mut e2 = Engine::new(&config, s2.as_mut());
+    e2.machine_mut().probe.enable_accounting(cores);
+    (short, e2.run_from_checkpoint(&trace, fork))
+}
+
+/// The forked N- and 2N-runs equal two from-scratch runs (`SimStats` JSON
+/// with the probe cycle breakdown), and the production delta path equals
+/// the delta of two plain `run_with_scheme` runs, for every scheme at 1,
+/// 2, 4 and 8 cores on two workloads.
+#[test]
+fn forked_delta_matches_two_scratch_runs() {
+    let _guard = SINK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for workload in ["Hash", "TPCC"] {
+        let w = workload_by_name(workload).expect("registered workload");
+        for cores in [1, 2, 4, 8] {
+            let config = SimConfig::table_ii(cores);
+            for scheme in ALL_SCHEMES {
+                let what = format!("{scheme} on {workload} at {cores} cores");
+                let (short, long) = scratch_pair(scheme, workload, cores);
+                let (fshort, flong) = forked_pair(scheme, workload, cores);
+                assert!(short.stats.breakdown.is_some(), "{what}: accounting off");
+                assert_eq!(
+                    short.stats.to_json().to_string(),
+                    fshort.stats.to_json().to_string(),
+                    "{what}: N-run diverged"
+                );
+                assert_eq!(
+                    long.stats.to_json().to_string(),
+                    flong.stats.to_json().to_string(),
+                    "{what}: 2N-run diverged"
+                );
+
+                let cache = TraceCache::global();
+                let plain = |txs| {
+                    let mut s = make_scheme(scheme, &config);
+                    let trace = cache.get_or_build(w.as_ref(), cores, txs, SEED);
+                    run_with_scheme(s.as_mut(), &config, &trace)
+                };
+                let reference = plain(2 * DELTA_TXS).delta_from(&plain(DELTA_TXS));
+                let forked = run_delta_with(
+                    &config,
+                    || make_scheme(scheme, &config),
+                    w.as_ref(),
+                    DELTA_TXS,
+                    SEED,
+                );
+                assert_eq!(
+                    reference.to_json().to_string(),
+                    forked.to_json().to_string(),
+                    "{what}: delta diverged"
+                );
+            }
+        }
+    }
+}
+
+/// With the event timeline on, the forked delta writes the same JSONL as
+/// two from-scratch runs: the 2N-run's timeline includes the prefix it
+/// took over from the fork, and the N-run is still sunk before it.
+#[test]
+fn forked_delta_sinks_the_same_timelines_in_run_order() {
+    let _guard = SINK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::env::temp_dir().join(format!("silo-fork-timeline-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let sink = EventTraceSink::global();
+    for scheme in ["Base", "Silo"] {
+        let cores = 2;
+        let config = SimConfig::table_ii(cores);
+        let w = workload_by_name("Hash").expect("registered workload");
+        let traced = |name: &str, run: &dyn Fn()| {
+            let path = dir.join(format!("{scheme}-{name}.jsonl"));
+            sink.enable(&path).expect("open trace file");
+            run();
+            sink.disable().expect("close trace file");
+            std::fs::read_to_string(&path).expect("read trace file")
+        };
+        let reference = traced("scratch", &|| {
+            for txs in [DELTA_TXS, 2 * DELTA_TXS] {
+                let trace = TraceCache::global().get_or_build(w.as_ref(), cores, txs, SEED);
+                let mut s = make_scheme(scheme, &config);
+                run_with_scheme(s.as_mut(), &config, &trace);
+            }
+        });
+        let forked = traced("fork", &|| {
+            run_delta_with(
+                &config,
+                || make_scheme(scheme, &config),
+                w.as_ref(),
+                DELTA_TXS,
+                SEED,
+            );
+        });
+        let headers: Vec<&str> = reference
+            .lines()
+            .filter(|l| l.contains("\"run\":"))
+            .collect();
+        assert_eq!(headers.len(), 2, "{scheme}: expected two run headers");
+        assert!(
+            reference.lines().count() > 3,
+            "{scheme}: the timelines recorded no events"
+        );
+        assert_eq!(reference, forked, "{scheme}: forked timeline diverged");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Randomized [`Snapshot`] round-trip on the wear-tracked media: capture,

@@ -119,7 +119,7 @@ fn bad_requests_are_structured_400s_and_consume_no_worker() {
     let server = start(&store, 2, 8);
     let addr = server.addr();
 
-    let cases: [(&str, &str, &str); 6] = [
+    let cases: [(&str, &str, &str); 7] = [
         ("/cell", "this is not json", "not JSON"),
         (
             "/experiment",
@@ -141,6 +141,11 @@ fn bad_requests_are_structured_400s_and_consume_no_worker() {
             "/cell",
             r#"{"seed":1,"work":{"kind":"teleport"}}"#,
             "unknown work kind",
+        ),
+        (
+            "/cell",
+            r#"{"seed":1,"work":{"kind":"delta","run":{"scheme":"Silo","workload":{"name":"Hash","arrival":"poisson2000"},"cores":1,"txs_per_core":4}}}"#,
+            "steady-state deltas need a closed-loop trace",
         ),
     ];
     for (path, body, needle) in cases {

@@ -73,10 +73,11 @@ fn fig11_run(enabled: bool, jobs: usize, seed: u64) -> (String, String) {
 /// One pass over the fig11 grid in each cache/jobs configuration checks
 /// both halves of the contract: the cache is invisible in the output
 /// (byte-identical text and report bodies, enabled or disabled, serial or
-/// eight workers), and with the cache enabled the grid's 56 unique trace
-/// keys (5 schemes x 7 benchmarks x 4 core counts, two stream lengths per
-/// steady-state delta, schemes sharing) are each generated exactly once
-/// per process — even when the grid runs again across 8 workers.
+/// eight workers), and with the cache enabled the grid's 28 unique trace
+/// keys (7 benchmarks x 4 core counts; each steady-state delta resolves
+/// only its 2N trace and cuts the N-run's streams from it, and the 5
+/// schemes share) are each generated exactly once per process — even when
+/// the grid runs again across 8 workers.
 #[test]
 fn fig11_cache_is_invisible_and_generates_each_trace_exactly_once() {
     let _guard = ENABLED_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -87,20 +88,20 @@ fn fig11_cache_is_invisible_and_generates_each_trace_exactly_once() {
 
     let got = fig11_run(true, 1, seed);
     assert_eq!(reference, got, "report differs (cache on, jobs 1)");
-    // 7 benchmarks x 4 core counts x 2 lengths (N and 2N txs per core);
-    // the 5 schemes all share the same per-benchmark traces.
+    // 7 benchmarks x 4 core counts, one 2N trace each (the N-run is its
+    // prefix); the 5 schemes all share the same per-benchmark traces.
     let (keys, generations) = TraceCache::global().stats_for_seed(seed);
-    assert_eq!(keys, 56, "unexpected unique trace keys for the fig11 grid");
-    assert_eq!(generations, 56, "some trace was generated more than once");
+    assert_eq!(keys, 28, "unexpected unique trace keys for the fig11 grid");
+    assert_eq!(generations, 28, "some trace was generated more than once");
 
     // A second pass over the same grid, fanned out across workers, hits
     // the cache for every cell: the generation count must not move.
     let got = fig11_run(true, 8, seed);
     assert_eq!(reference, got, "report differs (cache on, jobs 8)");
     let (keys_after, generations_after) = TraceCache::global().stats_for_seed(seed);
-    assert_eq!(keys_after, 56);
+    assert_eq!(keys_after, 28);
     assert_eq!(
-        generations_after, 56,
+        generations_after, 28,
         "rerunning the grid regenerated cached traces"
     );
 }

@@ -159,7 +159,10 @@ pub struct EngineCheckpoint {
     event_pos: u64,
     machine: MachineState,
     cores: Vec<CoreState>,
-    oracle: TxOracle,
+    /// `None` when captured on a run that did not feed the oracle (a fork
+    /// capture); such a checkpoint can continue a clean run but cannot
+    /// seed a crash plan.
+    oracle: Option<TxOracle>,
     scheme: Box<dyn SchemeState>,
 }
 
@@ -292,6 +295,50 @@ struct CoreRun {
 }
 
 impl CoreRun {
+    fn state(&self) -> CoreState {
+        CoreState {
+            time: self.time,
+            tx_idx: self.tx_idx,
+            op_idx: self.op_idx,
+            phase: self.phase,
+            txid: self.txid,
+            tag: self.tag,
+            cur_writes: self.cur_writes.clone(),
+            committed: self.committed,
+            sojourns: self.sojourns.clone(),
+        }
+    }
+
+    /// Takes over a captured state, checking it against this core's
+    /// stream: a position the stream does not reach would silently retire
+    /// the core (between transactions) or index past the stream (inside
+    /// one).
+    fn restore(&mut self, s: &CoreState) {
+        let len = self.txs.len();
+        let fits = match s.phase {
+            Phase::BetweenTxs => s.tx_idx <= len,
+            Phase::InTx => s.tx_idx < len,
+            Phase::Done => s.tx_idx == len,
+        };
+        assert!(
+            fits,
+            "core {}: checkpoint position (tx {}, {:?}) does not fit its resumed stream \
+             of {len} transactions; resumed streams must extend the captured ones",
+            self.id.as_usize(),
+            s.tx_idx,
+            s.phase
+        );
+        self.time = s.time;
+        self.tx_idx = s.tx_idx;
+        self.op_idx = s.op_idx;
+        self.phase = s.phase;
+        self.txid = s.txid;
+        self.tag = s.tag;
+        self.cur_writes.clone_from(&s.cur_writes);
+        self.committed = s.committed;
+        self.sojourns.clone_from(&s.sojourns);
+    }
+
     fn record(&self, committed: bool) -> TxRecord {
         let mut writes: Vec<(PhysAddr, Word)> = self
             .cur_writes
@@ -307,17 +354,50 @@ impl CoreRun {
     }
 }
 
+/// What a clean run captures on its way.
+#[derive(Clone, Copy, Debug)]
+enum Capture {
+    /// Checkpoints at the policy's cadence, for crash resimulation
+    /// ([`Engine::run_recording`]).
+    Record(CheckpointPolicy),
+    /// One checkpoint where the first core reaches its stream end
+    /// ([`Engine::run_forking`]).
+    Fork,
+}
+
+/// The checkpoint a run resumes from: borrowed from a shared
+/// [`CheckpointSet`], or owned and dropped right after the restore.
+enum Resume<'c> {
+    Borrowed(&'c EngineCheckpoint),
+    Owned(Box<EngineCheckpoint>),
+}
+
+impl Resume<'_> {
+    fn get(&self) -> &EngineCheckpoint {
+        match self {
+            Resume::Borrowed(cp) => cp,
+            Resume::Owned(cp) => cp,
+        }
+    }
+}
+
 /// Executes per-core transaction streams under a logging scheme.
 ///
 /// The engine always steps the core with the smallest local clock
 /// (ties broken by core id), so runs are fully deterministic and
 /// cross-core memory-controller contention is modelled faithfully.
 ///
+/// The [`TxOracle`] is fed only on runs that can read it: crash-plan
+/// runs (from scratch or resumed) and checkpoint-recording runs, whose
+/// checkpoints seed resumed crash runs. Plain clean runs, fork captures
+/// and clean continuations build no per-commit oracle records.
+///
 /// See the crate docs for an end-to-end example.
 pub struct Engine<'a> {
     machine: Machine,
     scheme: &'a mut dyn LoggingScheme,
-    oracle: TxOracle,
+    /// `Some` exactly on runs that feed the oracle (see above).
+    oracle: Option<TxOracle>,
     spec: Option<SpecMachine>,
 }
 
@@ -327,7 +407,7 @@ impl<'a> Engine<'a> {
         Engine {
             machine: Machine::new(config),
             scheme,
-            oracle: TxOracle::default(),
+            oracle: None,
             spec: None,
         }
     }
@@ -400,20 +480,78 @@ impl<'a> Engine<'a> {
         streams: impl Into<TxStreams>,
         policy: CheckpointPolicy,
     ) -> (RunOutcome, CheckpointSet) {
-        self.run_inner(streams.into(), None, Some(policy), None)
+        let (outcome, cps) =
+            self.run_inner(streams.into(), None, Some(Capture::Record(policy)), None);
+        (outcome, CheckpointSet { cps })
     }
 
-    /// Runs a crash plan starting from `checkpoint` instead of t=0. The
-    /// streams must be the same ones the recording run executed, and the
-    /// checkpoint must satisfy the trigger-axis validity rule
-    /// ([`CheckpointSet::nearest`] guarantees it); the outcome is then
-    /// byte-identical to running the plan from scratch.
+    /// Runs the streams clean and captures one checkpoint at the *fork
+    /// point*: the first loop boundary at which the core about to step has
+    /// reached the end of its stream. A run over longer streams that extend
+    /// each of these per core steps identically up to that boundary and
+    /// differently from it on, so [`Engine::run_from_checkpoint`] on the
+    /// longer streams continues this run's shared prefix instead of
+    /// simulating it again. The checkpoint carries no oracle state and
+    /// cannot seed a crash plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream count differs from the configured core count,
+    /// or if the scheme does not support state snapshotting
+    /// ([`LoggingScheme::snapshot_state`] returns `None`).
+    pub fn run_forking(self, streams: impl Into<TxStreams>) -> (RunOutcome, EngineCheckpoint) {
+        let (outcome, mut cps) = self.run_inner(streams.into(), None, Some(Capture::Fork), None);
+        let fork = cps
+            .pop()
+            .expect("a clean run steps some core at its stream end");
+        (outcome, fork)
+    }
+
+    /// Runs the streams clean from an owned `checkpoint` instead of t=0,
+    /// dropping the checkpoint right after the restore. The streams must be
+    /// prefix-compatible with the captured run's (see
+    /// [`Engine::run_resumed`]); the outcome is then byte-identical to a
+    /// clean run of these streams from scratch.
     ///
     /// # Panics
     ///
     /// Panics if the stream count differs from the configured core count
-    /// or from the checkpoint's core count, or if the checkpoint lies at
-    /// or past the plan's trigger.
+    /// or from the checkpoint's core count, if a core's checkpointed
+    /// position does not fit its stream, or if the spec machine is
+    /// enabled.
+    pub fn run_from_checkpoint(
+        self,
+        streams: impl Into<TxStreams>,
+        checkpoint: EngineCheckpoint,
+    ) -> RunOutcome {
+        self.run_inner(
+            streams.into(),
+            None,
+            None,
+            Some(Resume::Owned(Box::new(checkpoint))),
+        )
+        .0
+    }
+
+    /// Runs a crash plan starting from `checkpoint` instead of t=0. The
+    /// checkpoint must satisfy the trigger-axis validity rule
+    /// ([`CheckpointSet::nearest`] guarantees it); the outcome is then
+    /// byte-identical to running the plan from scratch.
+    ///
+    /// The streams must be *prefix-compatible* with the ones the
+    /// capturing run executed: each core's stream must equal the captured
+    /// stream up to and including the transaction the core was in, and
+    /// must reach the core's position (a core between transactions may sit
+    /// at its stream end; a finished core must). Passing the recording
+    /// run's own streams always qualifies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream count differs from the configured core count
+    /// or from the checkpoint's core count, if a core's checkpointed
+    /// position does not fit its stream, if the checkpoint lies at or past
+    /// the plan's trigger, or if it carries no oracle state (a fork
+    /// capture).
     pub fn run_resumed(
         self,
         streams: impl Into<TxStreams>,
@@ -433,17 +571,22 @@ impl<'a> Engine<'a> {
                 checkpoint.event_pos
             ),
         }
-        self.run_inner(streams.into(), Some(plan), None, Some(checkpoint))
-            .0
+        self.run_inner(
+            streams.into(),
+            Some(plan),
+            None,
+            Some(Resume::Borrowed(checkpoint)),
+        )
+        .0
     }
 
     fn run_inner(
         mut self,
         streams: TxStreams,
         plan: Option<CrashPlan>,
-        policy: Option<CheckpointPolicy>,
-        resume: Option<&EngineCheckpoint>,
-    ) -> (RunOutcome, CheckpointSet) {
+        capture: Option<Capture>,
+        resume: Option<Resume<'_>>,
+    ) -> (RunOutcome, Vec<EngineCheckpoint>) {
         assert_eq!(
             streams.len(),
             self.machine.config.cores,
@@ -490,30 +633,21 @@ impl<'a> Engine<'a> {
             })
             .collect();
 
-        if let Some(cp) = resume {
-            assert!(
-                self.spec.is_none(),
-                "the spec machine requires a from-scratch run (checkpoints do not carry spec state)"
-            );
-            assert_eq!(
-                cp.cores.len(),
-                cores.len(),
-                "checkpoint core count must match the streams"
-            );
-            self.machine.restore(&cp.machine);
-            for (core, s) in cores.iter_mut().zip(&cp.cores) {
-                core.time = s.time;
-                core.tx_idx = s.tx_idx;
-                core.op_idx = s.op_idx;
-                core.phase = s.phase;
-                core.txid = s.txid;
-                core.tag = s.tag;
-                core.cur_writes.clone_from(&s.cur_writes);
-                core.committed = s.committed;
-                core.sojourns.clone_from(&s.sojourns);
-            }
-            self.oracle = cp.oracle.clone();
-            self.scheme.restore_state(&*cp.scheme);
+        // Captures happen only on clean runs; capturing mid-crash-plan
+        // states would be useless (the suffix differs per plan) and is not
+        // requested by any caller. Recording degrades to an empty set on a
+        // scheme that cannot snapshot; a fork capture panics there instead.
+        let mut capture = capture.filter(|_| plan.is_none());
+        if matches!(capture, Some(Capture::Record(_))) && self.scheme.snapshot_state().is_none() {
+            capture = None;
+        }
+        // Only a crash verdict reads the oracle, directly or through a
+        // recorded checkpoint.
+        let feed_oracle = plan.is_some() || matches!(capture, Some(Capture::Record(_)));
+        match resume {
+            // An owned checkpoint drops at the end of this arm.
+            Some(resume) => self.restore(&mut cores, resume.get(), feed_oracle),
+            None => self.oracle = feed_oracle.then(TxOracle::default),
         }
 
         // Arming happens *after* a restore: the clean recording run counts
@@ -529,17 +663,11 @@ impl<'a> Engine<'a> {
             self.machine.pm.arm_crash_at_event(n);
         }
 
-        // Checkpoints record only on clean runs with snapshot-capable
-        // schemes; capturing mid-crash-plan states would be useless (the
-        // suffix differs per plan) and is not requested by any caller.
-        let mut recording = policy.filter(|_| plan.is_none());
-        if recording.is_some() && self.scheme.snapshot_state().is_none() {
-            recording = None;
-        }
-        let mut set = CheckpointSet::default();
-        let (mut next_event_due, mut next_cycle_due) = recording
-            .map(|p| (p.every_events, p.every_cycles))
-            .unwrap_or((u64::MAX, u64::MAX));
+        let mut cps = Vec::new();
+        let (mut next_event_due, mut next_cycle_due) = match capture {
+            Some(Capture::Record(p)) => (p.every_events, p.every_cycles),
+            _ => (u64::MAX, u64::MAX),
+        };
 
         // Pick the unfinished core with the smallest clock, ties broken by
         // core id — the keys `(time, i)` are unique, so the minimum is
@@ -580,50 +708,42 @@ impl<'a> Engine<'a> {
                     i
                 }
             };
-            if let Some(pol) = &mut recording {
+            if let Some(cap) = &mut capture {
                 // The winner's clock is the minimum unfinished clock, so
                 // this loop boundary *is* a position on the cycle axis.
                 let min_time = cores[ci].time;
-                let events_total = self.machine.pm.events().total();
-                if events_total >= next_event_due || min_time.as_u64() >= next_cycle_due {
-                    let scheme = self
-                        .scheme
-                        .snapshot_state()
-                        .expect("snapshot capability checked before the loop");
-                    set.cps.push(EngineCheckpoint {
-                        cycle_pos: min_time,
-                        event_pos: events_total,
-                        machine: self.machine.snapshot(),
-                        cores: cores
-                            .iter()
-                            .map(|c| CoreState {
-                                time: c.time,
-                                tx_idx: c.tx_idx,
-                                op_idx: c.op_idx,
-                                phase: c.phase,
-                                txid: c.txid,
-                                tag: c.tag,
-                                cur_writes: c.cur_writes.clone(),
-                                committed: c.committed,
-                                sojourns: c.sojourns.clone(),
-                            })
-                            .collect(),
-                        oracle: self.oracle.clone(),
-                        scheme,
-                    });
-                    if set.cps.len() >= pol.max {
-                        // Thin to every other checkpoint and slow both
-                        // cadences, keeping the set bounded on long runs.
-                        let mut keep = false;
-                        set.cps.retain(|_| {
-                            keep = !keep;
-                            keep
-                        });
-                        pol.every_events = pol.every_events.saturating_mul(2);
-                        pol.every_cycles = pol.every_cycles.saturating_mul(2);
+                match cap {
+                    Capture::Record(pol) => {
+                        let events_total = self.machine.pm.events().total();
+                        if events_total >= next_event_due || min_time.as_u64() >= next_cycle_due {
+                            cps.push(self.checkpoint(&cores, min_time));
+                            if cps.len() >= pol.max {
+                                // Thin to every other checkpoint and slow
+                                // both cadences, keeping the set bounded on
+                                // long runs.
+                                let mut keep = false;
+                                cps.retain(|_| {
+                                    keep = !keep;
+                                    keep
+                                });
+                                pol.every_events = pol.every_events.saturating_mul(2);
+                                pol.every_cycles = pol.every_cycles.saturating_mul(2);
+                            }
+                            next_event_due = events_total.saturating_add(pol.every_events);
+                            next_cycle_due = min_time.as_u64().saturating_add(pol.every_cycles);
+                        }
                     }
-                    next_event_due = events_total.saturating_add(pol.every_events);
-                    next_cycle_due = min_time.as_u64().saturating_add(pol.every_cycles);
+                    // Until some core reaches its stream end, a run over
+                    // extended streams takes exactly the same steps; here
+                    // this run retires the core and that one begins its
+                    // next transaction.
+                    Capture::Fork => {
+                        let core = &cores[ci];
+                        if core.phase == Phase::BetweenTxs && core.tx_idx == core.txs.len() {
+                            cps.push(self.checkpoint(&cores, min_time));
+                            capture = None;
+                        }
+                    }
                 }
             }
             match plan.map(|p| p.trigger) {
@@ -719,7 +839,47 @@ impl<'a> Engine<'a> {
             timeline: self.machine.probe.drain_timeline(),
             signature: self.machine.probe.take_signature(),
         };
-        (outcome, set)
+        (outcome, cps)
+    }
+
+    /// Captures the full engine state at a loop boundary whose minimum
+    /// unfinished core clock is `cycle_pos`.
+    fn checkpoint(&self, cores: &[CoreRun], cycle_pos: Cycles) -> EngineCheckpoint {
+        EngineCheckpoint {
+            cycle_pos,
+            event_pos: self.machine.pm.events().total(),
+            machine: self.machine.snapshot(),
+            cores: cores.iter().map(CoreRun::state).collect(),
+            oracle: self.oracle.clone(),
+            scheme: self
+                .scheme
+                .snapshot_state()
+                .expect("a fork capture needs a snapshot-capable scheme"),
+        }
+    }
+
+    /// Restores `cp` into a fresh machine and cores built over the resumed
+    /// streams. `feed_oracle` runs take over the checkpoint's oracle.
+    fn restore(&mut self, cores: &mut [CoreRun], cp: &EngineCheckpoint, feed_oracle: bool) {
+        assert!(
+            self.spec.is_none(),
+            "the spec machine requires a from-scratch run (checkpoints do not carry spec state)"
+        );
+        assert_eq!(
+            cp.cores.len(),
+            cores.len(),
+            "checkpoint core count must match the streams"
+        );
+        self.machine.restore(&cp.machine);
+        for (core, s) in cores.iter_mut().zip(&cp.cores) {
+            core.restore(s);
+        }
+        self.oracle = feed_oracle.then(|| {
+            cp.oracle
+                .clone()
+                .expect("a fork checkpoint carries no oracle state and cannot seed a crash plan")
+        });
+        self.scheme.restore_state(&*cp.scheme);
     }
 
     /// Executes one step (transaction boundary or single op) on `core`.
@@ -792,7 +952,9 @@ impl<'a> Engine<'a> {
                         // the scheme persisted the commit marker before
                         // the cut is its own business. Either outcome is
                         // legal — atomically.
-                        self.oracle.observe_ambiguous(core.record(false));
+                        if let Some(oracle) = &mut self.oracle {
+                            oracle.observe_ambiguous(core.record(false));
+                        }
                         if let Some(spec) = &mut self.spec {
                             let event = self.machine.pm.events().total();
                             spec.on_ambiguous(core.id.as_usize(), core.tag, event);
@@ -800,7 +962,9 @@ impl<'a> Engine<'a> {
                         core.phase = Phase::Done;
                         return;
                     }
-                    self.oracle.observe(core.record(true));
+                    if let Some(oracle) = &mut self.oracle {
+                        oracle.observe(core.record(true));
+                    }
                     if let Some(spec) = &mut self.spec {
                         let event = self.machine.pm.events().total();
                         spec.on_commit(core.id.as_usize(), core.tag, event);
@@ -930,9 +1094,10 @@ impl<'a> Engine<'a> {
     ) -> (CrashOutcome, silo_pm::PmStats, silo_pm::PmDevice) {
         let mut inflight = 0;
         let event_at_cut = self.machine.pm.events().total();
+        let mut oracle = self.oracle.take().expect("crash plans feed the oracle");
         for core in cores.iter_mut() {
             if core.phase == Phase::InTx {
-                self.oracle.observe(core.record(false));
+                oracle.observe(core.record(false));
                 if let Some(spec) = &mut self.spec {
                     spec.on_crash_inflight(core.id.as_usize(), core.tag, event_at_cut);
                 }
@@ -981,15 +1146,15 @@ impl<'a> Engine<'a> {
             crash_at.as_u64(),
             recovery.replayed_words + recovery.revoked_words,
         );
-        let consistency = self.oracle.verify(&self.machine.pm);
+        let consistency = oracle.verify(&self.machine.pm);
         let spec = self.spec.as_ref().map(|s| s.verify(&self.machine.pm));
         let outcome = CrashOutcome {
             crash_at,
             recovery,
             consistency,
-            committed_txs: self.oracle.tx_counts().0,
+            committed_txs: oracle.tx_counts().0,
             inflight_txs: inflight,
-            ambiguous_txs: self.oracle.ambiguous_txs(),
+            ambiguous_txs: oracle.ambiguous_txs(),
             events_at_crash,
             drain,
             double_crash,
@@ -1124,6 +1289,76 @@ mod tests {
         let b = Engine::new(&cfg, &mut s2).run(mk(), None);
         assert_eq!(a.stats.latency, b.stats.latency);
         assert!(a.stats.latency.expect("latency").samples == 10);
+    }
+
+    /// Two cores of unequal transaction sizes, so they reach their stream
+    /// ends at different times: a setup transaction plus `txs` measured
+    /// ones each.
+    fn uneven_trace(txs: usize) -> crate::TraceSet {
+        let streams = (0..2u64)
+            .map(|c| {
+                (0..=txs as u64)
+                    .map(|i| {
+                        let words: Vec<(u64, u64)> = (0..=c)
+                            .map(|k| (c * 4096 + (i * 2 + k) * 8, i + k))
+                            .collect();
+                        tx_writing(&words)
+                    })
+                    .collect()
+            })
+            .collect();
+        crate::TraceSet::new("uneven", 2, txs, 0, streams)
+    }
+
+    #[test]
+    fn fork_continuation_matches_a_scratch_run() {
+        let cfg = SimConfig::table_ii(2);
+        let long = uneven_trace(12);
+        let mut s = NullScheme::default();
+        let scratch = Engine::new(&cfg, &mut s).run(&long, None);
+        let mut s = NullScheme::default();
+        let (short, fork) = Engine::new(&cfg, &mut s).run_forking(long.prefix(6));
+        assert_eq!(short.stats.txs_committed, 2 * 7);
+        let mut s = NullScheme::default();
+        let resumed = Engine::new(&cfg, &mut s).run_from_checkpoint(&long, fork);
+        assert_eq!(
+            scratch.stats.to_json().to_string(),
+            resumed.stats.to_json().to_string()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "fork checkpoint carries no oracle state")]
+    fn fork_checkpoint_cannot_seed_a_crash_plan() {
+        let cfg = SimConfig::table_ii(2);
+        let long = uneven_trace(12);
+        let mut s = NullScheme::default();
+        let (_, fork) = Engine::new(&cfg, &mut s).run_forking(long.prefix(6));
+        let plan = CrashPlan::at_event(fork.event_pos() + 1);
+        let mut s = NullScheme::default();
+        let _ = Engine::new(&cfg, &mut s).run_resumed(&long, plan, &fork);
+    }
+
+    #[test]
+    #[should_panic(expected = "a fork capture needs a snapshot-capable scheme")]
+    fn fork_capture_needs_a_snapshot_capable_scheme() {
+        let cfg = SimConfig::table_ii(2);
+        let mut s = ProbeScheme::quiet();
+        let _ = Engine::new(&cfg, &mut s).run_forking(uneven_trace(6));
+    }
+
+    #[test]
+    #[should_panic(expected = "core 0: checkpoint position")]
+    fn resume_rejects_streams_the_checkpoint_is_past() {
+        let cfg = SimConfig::table_ii(2);
+        let long = uneven_trace(12);
+        let mut s = NullScheme::default();
+        let (_, set) = Engine::new(&cfg, &mut s).run_recording(&long, CheckpointPolicy::every(4));
+        let cp = set.iter().last().expect("a dense policy captures");
+        let plan = CrashPlan::at_event(cp.event_pos() + 1);
+        let mut s = NullScheme::default();
+        // Setup transactions only: every core is past its stream end.
+        let _ = Engine::new(&cfg, &mut s).run_resumed(long.prefix(0), plan, cp);
     }
 
     #[test]

@@ -95,6 +95,12 @@ impl ConsistencyReport {
 /// it: a word written by an uncommitted (in-flight) transaction of one core
 /// must not be concurrently written by another.
 ///
+/// The [`Engine`](crate::Engine) feeds an oracle only on runs that can read
+/// it: crash-plan runs, from scratch or resumed, and checkpoint-recording
+/// runs, whose checkpoints carry the oracle into resumed crash runs. Clean
+/// runs, fork captures and clean continuations leave it unfed, so their
+/// commits build no write-set records.
+///
 /// # Examples
 ///
 /// ```

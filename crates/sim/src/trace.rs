@@ -184,6 +184,44 @@ impl TraceSet {
         self.streams.iter().map(|s| s.len()).sum()
     }
 
+    /// The streams the same generator yields for `txs_per_core` measured
+    /// transactions per core, cut from this trace instead of generated:
+    /// each core's stream minus its last `provenance().txs_per_core -
+    /// txs_per_core` transactions. Correct for generated traces by the
+    /// prefix contract on `Workload::raw_streams` (a shorter run's stream
+    /// is a prefix of a longer one's). Clones transaction handles, never
+    /// op buffers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `txs_per_core` exceeds the trace's own, if a stream is
+    /// shorter than the cut, or if the trace has arrival schedules.
+    pub fn prefix(&self, txs_per_core: usize) -> TxStreams {
+        assert!(
+            self.arrivals.is_none(),
+            "prefix streams are cut from closed-loop traces only"
+        );
+        let cut = self
+            .provenance
+            .txs_per_core
+            .checked_sub(txs_per_core)
+            .expect("a prefix cannot be longer than its trace");
+        TxStreams {
+            streams: self
+                .streams
+                .iter()
+                .map(|s| {
+                    let len = s
+                        .len()
+                        .checked_sub(cut)
+                        .expect("stream shorter than the cut");
+                    Arc::from(&s[..len])
+                })
+                .collect(),
+            arrivals: None,
+        }
+    }
+
     /// Materialises owned `Vec`s for legacy callers. Transactions
     /// themselves still share their ops, so this clones pointers, not op
     /// buffers.

@@ -234,6 +234,27 @@ mod tests {
         }
     }
 
+    /// The prefix contract on `Workload::raw_streams` that steady-state
+    /// deltas rely on: each core's N-stream is the first `len - N`
+    /// transactions of its 2N-stream.
+    #[test]
+    fn n_streams_are_prefixes_of_2n_streams() {
+        const N: usize = 7;
+        for d in WORKLOADS {
+            let w = (d.make)();
+            for cores in [1, 2, 4, 8] {
+                let short = w.raw_streams(cores, N, 17);
+                let long = w.raw_streams(cores, 2 * N, 17);
+                assert_eq!(short.len(), long.len());
+                for (core, (s, l)) in short.iter().zip(&long).enumerate() {
+                    let what = format!("{} at {cores} cores, core {core}", d.name);
+                    assert_eq!(l.len() - s.len(), N, "{what}: not N transactions longer");
+                    assert!(l[..s.len()] == s[..], "{what}: N-stream is not a prefix");
+                }
+            }
+        }
+    }
+
     #[test]
     fn core_regions_are_disjoint() {
         assert_eq!(core_base(0), 0);

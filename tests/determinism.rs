@@ -69,3 +69,30 @@ fn crash_runs_are_deterministic_too() {
         .collect();
     assert_eq!(runs[0], runs[1]);
 }
+
+#[test]
+fn forked_delta_runs_match_scratch_runs() {
+    // A steady-state delta's 2N-run continues from the N-run's fork
+    // checkpoint; both runs must equal their from-scratch counterparts.
+    let config = SimConfig::table_ii(2);
+    let w = workload_by_name("Hash").expect("hash");
+    let long = w.build_trace(2, 20, 3);
+    let scratch = |txs: usize| {
+        let mut scheme = SiloScheme::new(&config);
+        Engine::new(&config, &mut scheme)
+            .run(w.build_trace(2, txs, 3), None)
+            .stats
+    };
+    let mut s1 = SiloScheme::new(&config);
+    let (short, fork) = Engine::new(&config, &mut s1).run_forking(long.prefix(10));
+    let mut s2 = SiloScheme::new(&config);
+    let forked_long = Engine::new(&config, &mut s2).run_from_checkpoint(&long, fork);
+    assert_eq!(
+        short.stats.to_json().to_string(),
+        scratch(10).to_json().to_string()
+    );
+    assert_eq!(
+        forked_long.stats.to_json().to_string(),
+        scratch(20).to_json().to_string()
+    );
+}
