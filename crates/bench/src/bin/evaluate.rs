@@ -8,9 +8,8 @@
 //! evaluate check <report.json>
 //! ```
 //!
-//! Experiments resolve by registry name (`fig11`) or legacy binary name
-//! (`fig11_write_traffic`); the text output is byte-identical to the
-//! pre-framework serial binaries at any `--jobs`. Reports land in
+//! Experiments resolve by registry name (`fig11`); the text output is
+//! byte-identical at any `--jobs`. Reports land in
 //! `target/reports/` unless `--json-dir` says otherwise; progress lines go
 //! to stderr so stdout stays comparable.
 

@@ -25,8 +25,8 @@ use crate::format_normalized;
 /// Runtime parameters of one experiment invocation.
 #[derive(Clone, Debug)]
 pub struct ExpParams {
-    /// Transaction budget (each experiment interprets it exactly as its
-    /// legacy binary did — usually total transactions split across cores).
+    /// Transaction budget (each experiment interprets it itself — usually
+    /// total transactions split across cores).
     pub txs: usize,
     /// Workload generation seed.
     pub seed: u64,
@@ -258,8 +258,8 @@ pub enum ExpKind {
     Custom {
         /// Expands the parameters into independent cell specs.
         build: fn(&ExpParams) -> Vec<CellSpec>,
-        /// Renders the text output (byte-identical to the legacy binary)
-        /// and returns the experiment's derived values for the report.
+        /// Renders the text output and returns the experiment's derived
+        /// values for the report.
         render: fn(&ExpParams, &[(CellLabel, CellOutcome)], &mut String) -> JsonValue,
     },
 }
@@ -269,12 +269,9 @@ pub enum ExpKind {
 pub struct ExperimentSpec {
     /// Registry name (`fig11`, `ablation_flushbit`, ...).
     pub name: &'static str,
-    /// The legacy binary under `src/bin/` that this spec replaces; the
-    /// binary is now a shim resolving itself through the registry.
-    pub legacy_bin: &'static str,
     /// One-line description for `evaluate list`.
     pub description: &'static str,
-    /// Default transaction budget (the legacy binary's default).
+    /// Default transaction budget.
     pub default_txs: usize,
     /// Grid or custom behaviour.
     pub kind: ExpKind,

@@ -93,7 +93,6 @@ fn render(p: &ExpParams, cells: &[(CellLabel, CellOutcome)], out: &mut String) -
 pub fn spec() -> ExperimentSpec {
     ExperimentSpec {
         name: "compare",
-        legacy_bin: "compare",
         description: "quick-look scheme comparison on chosen workloads/cores (debug utility)",
         default_txs: 200,
         kind: ExpKind::Custom { build, render },

@@ -14,7 +14,6 @@ fn media_writes(stats: &SimStats) -> f64 {
 pub fn spec() -> ExperimentSpec {
     ExperimentSpec {
         name: "fig11",
-        legacy_bin: "fig11_write_traffic",
         description: "write traffic to the PM media, normalized to Base (5 schemes x 7 benchmarks x 1/2/4/8 cores)",
         default_txs: 10_000,
         kind: ExpKind::Grid(GridSpec {

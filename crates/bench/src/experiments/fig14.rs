@@ -129,7 +129,6 @@ fn write_rows(out: &mut String, names: &[&str], rows: &[Vec<f64>]) {
 pub fn spec() -> ExperimentSpec {
     ExperimentSpec {
         name: "fig14",
-        legacy_bin: "fig14_large_tx",
         description: "Silo on large transactions: throughput and write traffic vs 1-16x write-set multipliers",
         default_txs: 4_000,
         kind: ExpKind::Custom { build, render },

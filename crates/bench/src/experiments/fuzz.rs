@@ -1,5 +1,5 @@
-//! `fuzz`: coverage-guided crash search with an executable per-word
-//! crash-consistency spec.
+//! `fuzz`: coverage-guided crash search with per-word violation
+//! localization.
 //!
 //! Where `crashfuzz` scans evenly spaced crash points, `fuzz` *searches*
 //! the crash surface: a corpus of `(fault model, crash event, recovery
@@ -12,13 +12,15 @@
 //! workload)`, candidates run in a fixed order, and the report is
 //! byte-identical at any `--jobs`.
 //!
-//! Every recovered image is checked twice: by the digest-level
-//! [`silo_sim::TxOracle`] and by the executable per-word spec
-//! ([`silo_sim::SpecMachine`]), which localizes a divergence to the first
-//! offending word with its event index. A violation is printed as a
-//! copy-paste runnable `evaluate fuzz ... --crash-event N --execs 1
-//! --no-corpus` command (arrival-process idents included for zoo
-//! workloads).
+//! Every recovered image is checked by [`silo_sim::TxOracle`], which
+//! localizes a violation to the first offending word with the event index
+//! of that word's last transition. A violation is printed as a copy-paste
+//! runnable `evaluate fuzz ... --crash-event N --execs 1 --no-corpus`
+//! command (arrival-process idents included for zoo workloads).
+//!
+//! Candidates run from scratch, not from checkpoints: the coverage
+//! signature covers the whole run from t=0, and a resumed run would miss
+//! the features of its restored prefix.
 //!
 //! The corpus persists under `target/fuzz-corpus/<workload>/<scheme>/`
 //! (override with `--corpus DIR`, disable with `--no-corpus`), one JSON
@@ -51,8 +53,8 @@ const DEFAULT_TORN_KEEP: usize = 64;
 const MAX_RECORDED: usize = 8;
 /// Corpus entry format version.
 const CORPUS_VERSION: u64 = 1;
-/// The spec machine's violation kinds, indexable for the value list.
-const SPEC_KINDS: [&str; 3] = [
+/// The oracle's violation kinds, indexable for the value list.
+const KINDS: [&str; 3] = [
     "committed write lost or corrupted",
     "partial update of uncommitted transaction survived",
     "ambiguous commit applied partially (torn commit)",
@@ -301,16 +303,14 @@ fn parse_config(p: &ExpParams) -> Config {
 #[derive(Clone)]
 struct CandidateRun {
     signature: Signature,
-    /// Oracle verdict on the recovered image.
-    oracle_ok: bool,
-    /// Spec-machine verdict, with the first offending word when bad.
-    spec_ok: bool,
+    /// The oracle's first offending word; `None` when the recovered image
+    /// is consistent.
     first_word: Option<(u64, u64, usize)>, // (addr, word event, kind index)
 }
 
-/// Runs one candidate from scratch with the spec machine and the
-/// signature recorder enabled. Always a from-scratch run: the spec
-/// machine cannot resume from checkpoints.
+/// Runs one candidate with the signature recorder enabled. Always a
+/// from-scratch run: the signature accumulates from t=0, so a run resumed
+/// from a checkpoint would lose its prefix's coverage.
 fn run_candidate(
     scheme: &str,
     config: &SimConfig,
@@ -319,22 +319,18 @@ fn run_candidate(
 ) -> CandidateRun {
     let mut s = make_scheme(scheme, config);
     let mut engine = Engine::new(config, s.as_mut());
-    engine.enable_spec();
     engine.machine_mut().probe.enable_signature();
     let out = engine.run_with_plan(streams, Some(cand.plan()));
     let crash = out.crash.as_ref().expect("crash injected");
-    let spec = crash.spec.as_ref().expect("spec machine enabled");
-    let first_word = spec.first_offender().map(|v| {
-        let kind = SPEC_KINDS
+    let first_word = crash.consistency.first_offender().map(|v| {
+        let kind = KINDS
             .iter()
             .position(|k| *k == v.kind)
-            .expect("spec kind is in the table");
+            .expect("violation kind is in the table");
         (v.addr.as_u64(), v.event, kind)
     });
     CandidateRun {
         signature: out.signature.expect("signature recorder enabled"),
-        oracle_ok: crash.consistency.is_consistent(),
-        spec_ok: spec.is_consistent(),
         first_word,
     }
 }
@@ -578,7 +574,7 @@ pub(crate) fn execute_fuzz(
                        executed: &mut u64| {
         let run = run_candidate(scheme, &config, &streams, cand);
         *executed += 1;
-        if !run.oracle_ok || !run.spec_ok {
+        if run.first_word.is_some() {
             violation_count += 1;
             if violations.len() < MAX_RECORDED && !violations.iter().any(|(c, _)| *c == cand) {
                 violations.push((cand, run.clone()));
@@ -620,6 +616,9 @@ pub(crate) fn execute_fuzz(
         .with_value("viols", violation_count as f64)
         .with_value("recorded", violations.len() as f64);
     for (i, (cand, run)) in violations.iter().enumerate() {
+        let (addr, wevent, kind) = run.first_word.expect("recorded runs violate");
+        // `v{i}_spec` repeats the oracle verdict so the report keeps its
+        // value set byte for byte.
         out = out
             .with_value(&format!("v{i}_event"), cand.event as f64)
             .with_value(&format!("v{i}_fault"), cand.fault.kind_index() as f64)
@@ -628,18 +627,12 @@ pub(crate) fn execute_fuzz(
                 &format!("v{i}_rc"),
                 cand.recovery_crash.map(|r| r as f64).unwrap_or(-1.0),
             )
-            .with_value(
-                &format!("v{i}_oracle"),
-                if run.oracle_ok { 0.0 } else { 1.0 },
-            )
-            .with_value(&format!("v{i}_spec"), if run.spec_ok { 0.0 } else { 1.0 });
-        if let Some((addr, wevent, kind)) = run.first_word {
-            out = out
-                .with_value(&format!("v{i}_addr_hi"), (addr >> 32) as u32 as f64)
-                .with_value(&format!("v{i}_addr_lo"), addr as u32 as f64)
-                .with_value(&format!("v{i}_wevent"), wevent as f64)
-                .with_value(&format!("v{i}_kind"), kind as f64);
-        }
+            .with_value(&format!("v{i}_oracle"), 1.0)
+            .with_value(&format!("v{i}_spec"), 1.0)
+            .with_value(&format!("v{i}_addr_hi"), (addr >> 32) as u32 as f64)
+            .with_value(&format!("v{i}_addr_lo"), addr as u32 as f64)
+            .with_value(&format!("v{i}_wevent"), wevent as f64)
+            .with_value(&format!("v{i}_kind"), kind as f64);
     }
     out
 }
@@ -785,7 +778,7 @@ fn render(p: &ExpParams, cells: &[(CellLabel, CellOutcome)], out: &mut String) -
                         let addr = ((outcome.value(&format!("v{i}_addr_hi")) as u64) << 32)
                             | outcome.value(&format!("v{i}_addr_lo")) as u64;
                         let wevent = outcome.value(&format!("v{i}_wevent")) as u64;
-                        let kind = SPEC_KINDS[outcome.value(&format!("v{i}_kind")) as usize];
+                        let kind = KINDS[outcome.value(&format!("v{i}_kind")) as usize];
                         (addr, wevent, kind)
                     });
                 detail.push((fault, event, rc, word, repro.clone()));
@@ -845,7 +838,6 @@ fn render(p: &ExpParams, cells: &[(CellLabel, CellOutcome)], out: &mut String) -
 pub fn spec() -> ExperimentSpec {
     ExperimentSpec {
         name: "fuzz",
-        legacy_bin: "fuzz",
         description: "coverage-guided crash search with the per-word executable spec",
         default_txs: 16,
         kind: ExpKind::Custom { build, render },
@@ -940,7 +932,7 @@ mod tests {
     #[test]
     fn single_candidate_search_finds_battery_violation() {
         // The undersized battery must violate at a mid-stream event on
-        // Silo, and the spec machine must agree with the oracle.
+        // Silo, localized to a word.
         let out = execute_fuzz(
             "Silo",
             "Hash",
@@ -954,7 +946,9 @@ mod tests {
         );
         assert!(out.error.is_none());
         assert!(out.value("viols") > 0.0, "64 B battery must violate");
-        assert!(out.value("v0_oracle") == 1.0 || out.value("v0_spec") == 1.0);
+        assert_eq!(out.value("v0_oracle"), 1.0);
+        assert_eq!(out.value("v0_spec"), 1.0);
+        assert!(out.values.iter().any(|(k, _)| k == "v0_wevent"));
     }
 
     #[test]

@@ -177,9 +177,6 @@ fn render(p: &ExpParams, cells: &[(CellLabel, CellOutcome)], out: &mut String) -
 pub fn spec() -> ExperimentSpec {
     ExperimentSpec {
         name: "latency",
-        // No shim binary exists for this post-framework experiment; the
-        // name only reserves a unique registry slot.
-        legacy_bin: "latency_sweep",
         description: "open-system sojourn-latency percentiles vs offered load (arrival layer)",
         default_txs: 2_000,
         kind: ExpKind::Custom { build, render },

@@ -100,7 +100,6 @@ fn render(_p: &ExpParams, cells: &[(CellLabel, CellOutcome)], out: &mut String) 
 pub fn spec() -> ExperimentSpec {
     ExperimentSpec {
         name: "motivation",
-        legacy_bin: "motivation_sw_logging",
         description: "software vs hardware logging on one core (Fig 1 motivation)",
         default_txs: 2_000,
         kind: ExpKind::Custom { build, render },

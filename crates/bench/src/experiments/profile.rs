@@ -110,9 +110,6 @@ fn render(p: &ExpParams, cells: &[(CellLabel, CellOutcome)], out: &mut String) -
 pub fn spec() -> ExperimentSpec {
     ExperimentSpec {
         name: "profile",
-        // No shim binary exists for this post-framework experiment; the
-        // name only reserves a unique registry slot.
-        legacy_bin: "profile_breakdown",
         description: "per-scheme cycle-attribution breakdown (observability layer)",
         default_txs: 2_000,
         kind: ExpKind::Custom { build, render },

@@ -95,7 +95,6 @@ fn render_buffer_capacity(
 pub fn buffer_capacity() -> ExperimentSpec {
     ExperimentSpec {
         name: "study_buffer_capacity",
-        legacy_bin: "study_buffer_capacity",
         description: "per-core log buffer sized 5-80 entries: overflow rate, traffic, throughput",
         default_txs: 4_000,
         kind: ExpKind::Custom {
@@ -193,7 +192,6 @@ fn render_multi_mc(
 pub fn multi_mc() -> ExperimentSpec {
     ExperimentSpec {
         name: "study_multi_mc",
-        legacy_bin: "study_multi_mc",
         description: "Silo with 1/2/4 memory controllers: scaling without cross-MC coordination",
         default_txs: 4_000,
         kind: ExpKind::Custom {
@@ -284,7 +282,6 @@ fn render_onpm_buffer(
 pub fn onpm_buffer() -> ExperimentSpec {
     ExperimentSpec {
         name: "study_onpm_buffer",
-        legacy_bin: "study_onpm_buffer",
         description: "on-PM coalescing buffer sized 4-256 lines: media programs and drains",
         default_txs: 4_000,
         kind: ExpKind::Custom {
@@ -367,7 +364,6 @@ fn render_recovery(
 pub fn recovery() -> ExperimentSpec {
     ExperimentSpec {
         name: "study_recovery",
-        legacy_bin: "study_recovery",
         description: "recovery cost after crashes at varying cycles (selective-flush survivors)",
         default_txs: 1_000,
         kind: ExpKind::Custom {

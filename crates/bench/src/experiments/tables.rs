@@ -219,7 +219,6 @@ fn render_table4(
 pub fn table1() -> ExperimentSpec {
     ExperimentSpec {
         name: "table1",
-        legacy_bin: "table1_hw_overhead",
         description: "hardware overhead of Silo in the processor (no simulation)",
         default_txs: 0,
         kind: ExpKind::Custom {
@@ -233,7 +232,6 @@ pub fn table1() -> ExperimentSpec {
 pub fn table2() -> ExperimentSpec {
     ExperimentSpec {
         name: "table2",
-        legacy_bin: "table2_config",
         description: "simulated system configuration, printed from the live config structs",
         default_txs: 0,
         kind: ExpKind::Custom {
@@ -247,7 +245,6 @@ pub fn table2() -> ExperimentSpec {
 pub fn table4() -> ExperimentSpec {
     ExperimentSpec {
         name: "table4",
-        legacy_bin: "table4_battery",
         description: "battery requirements of eADR, BBB, and Silo (no simulation)",
         default_txs: 0,
         kind: ExpKind::Custom {

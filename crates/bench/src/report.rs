@@ -1,9 +1,9 @@
 //! Experiment execution and JSON report persistence.
 //!
-//! [`run_experiment`] is the one entry point both `evaluate` and the
-//! legacy shim binaries use: build cells, fan them out, render. The
-//! resulting [`ExperimentRun`] carries the text output (byte-identical to
-//! the pre-framework serial binaries) and the deterministic report body;
+//! [`run_experiment`] and its panic-checked twin, which `evaluate` uses,
+//! build cells, fan them out and render. The resulting [`ExperimentRun`]
+//! carries the text output (byte-identical at any worker count) and the
+//! deterministic report body;
 //! [`write_report`] stamps on the non-deterministic envelope (wall time,
 //! worker count) and writes `<dir>/<name>.json`.
 
@@ -20,7 +20,7 @@ use crate::runner::{run_cells_with, PanicPolicy};
 pub struct ExperimentRun {
     /// Registry name of the experiment.
     pub name: &'static str,
-    /// The rendered text tables, exactly as the legacy binary printed them.
+    /// The rendered text tables.
     pub text: String,
     /// The deterministic report body: params, config fingerprint, per-cell
     /// raw stats, and the experiment's derived (normalized) values.
@@ -194,7 +194,6 @@ fn report_body(
     JsonValue::object()
         .field("experiment", spec.name)
         .field("description", spec.description)
-        .field("legacy_bin", spec.legacy_bin)
         .field(
             "params",
             JsonValue::object()

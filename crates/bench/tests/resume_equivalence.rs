@@ -3,10 +3,11 @@
 //! The headline invariant: a crash run resumed from a clean-run checkpoint
 //! is **byte-identical** to the same crash plan executed from scratch —
 //! same `SimStats` JSON (including the probe cycle breakdown), same oracle
-//! verdict, same recovered PM image — for every scheme and every fault
-//! model. The same holds for steady-state deltas, whose 2N-run continues
-//! from a fork checkpoint of the N-run: both runs, the delta and the event
-//! timeline match two from-scratch runs. The [`silo_types::Snapshot`]
+//! verdict down to each violation's word, legal values and event index,
+//! same recovered PM image — for every scheme and every fault model. The
+//! same holds for steady-state deltas, whose 2N-run continues from a fork
+//! checkpoint of the N-run: both runs, the delta and the event timeline
+//! match two from-scratch runs. The [`silo_types::Snapshot`]
 //! round-trip tests below pin the building block: restoring a snapshot
 //! reproduces the captured state exactly, under randomized operation
 //! sequences.
@@ -62,8 +63,7 @@ fn assert_identical(scratch: &RunOutcome, resumed: &RunOutcome, fp: &[PhysAddr],
         resumed.crash.as_ref().expect("crash injected"),
     );
     assert_eq!(
-        s.consistency.violations.len(),
-        r.consistency.violations.len(),
+        s.consistency, r.consistency,
         "{what}: oracle verdict diverged"
     );
     assert_eq!(
@@ -89,6 +89,7 @@ fn resume_matches_scratch_for_every_scheme_and_fault() {
     let trace = TraceCache::global().get_or_build(w.as_ref(), CORES, TXS_PER_CORE, SEED);
     let fp = footprint(&trace);
 
+    let mut violated = Vec::new();
     for scheme in ALL_SCHEMES {
         let mut s = make_scheme(scheme, &config);
         let mut engine = Engine::new(&config, s.as_mut());
@@ -106,6 +107,10 @@ fn resume_matches_scratch_for_every_scheme_and_fault() {
             CrashPlan::at_event(event_total * 3 / 4).with_fault(FaultModel::torn_line(64)),
             CrashPlan::at_event(event_total * 3 / 4)
                 .with_fault(FaultModel::bounded_battery(64 * 1024)),
+            // An undersized battery, late enough that violating words
+            // were committed before the checkpoint: their legal values
+            // and event indices must come through it.
+            CrashPlan::at_event(event_total * 15 / 16).with_fault(FaultModel::bounded_battery(64)),
         ];
         for plan in plans {
             let cp = ckpts
@@ -124,8 +129,16 @@ fn resume_matches_scratch_for_every_scheme_and_fault() {
             let resumed = e2.run_resumed(&trace, plan, cp);
 
             assert_identical(&scratch, &resumed, &fp, &what);
+            let verdict = &scratch.crash.as_ref().expect("crash injected").consistency;
+            if verdict.violations.iter().any(|v| v.event < cp.event_pos()) {
+                violated.push(scheme);
+            }
         }
     }
+    assert!(
+        violated.contains(&"Silo"),
+        "the 64 B battery point must break Silo before its checkpoint: {violated:?}"
+    );
 }
 
 /// Any checkpoint whose position precedes the crash point must yield the

@@ -7,7 +7,6 @@ use silo_probe::{CycleCategory, ProbeEventKind, Signature};
 use silo_types::{CoreId, Cycles, FxHashMap, PhysAddr, TxId, TxTag, Word};
 
 use crate::schemes::{EvictAction, SchemeState};
-use crate::spec::{SpecMachine, SpecReport};
 use crate::stats::LatencyStats;
 use crate::trace::ArrivalSchedule;
 use crate::{
@@ -97,9 +96,10 @@ pub struct CrashOutcome {
     pub drain: DrainReport,
     /// Whether a second power failure interrupted recovery.
     pub double_crash: bool,
-    /// The executable spec's per-word verdict on the recovered image;
-    /// `None` unless [`Engine::enable_spec`] was called before the run.
-    pub spec: Option<SpecReport>,
+    /// Always `Some` copy of [`consistency`](Self::consistency), which
+    /// carries the per-word localization itself. Kept for `perfbench`'s
+    /// crash workload, which reads it.
+    pub spec: Option<ConsistencyReport>,
 }
 
 /// Everything a run returns.
@@ -339,7 +339,7 @@ impl CoreRun {
         self.sojourns.clone_from(&s.sojourns);
     }
 
-    fn record(&self, committed: bool) -> TxRecord {
+    fn record(&self, committed: bool, event: u64) -> TxRecord {
         let mut writes: Vec<(PhysAddr, Word)> = self
             .cur_writes
             .iter()
@@ -350,6 +350,7 @@ impl CoreRun {
             tag: self.tag,
             writes,
             committed,
+            event,
         }
     }
 }
@@ -398,7 +399,6 @@ pub struct Engine<'a> {
     scheme: &'a mut dyn LoggingScheme,
     /// `Some` exactly on runs that feed the oracle (see above).
     oracle: Option<TxOracle>,
-    spec: Option<SpecMachine>,
 }
 
 impl<'a> Engine<'a> {
@@ -408,7 +408,6 @@ impl<'a> Engine<'a> {
             machine: Machine::new(config),
             scheme,
             oracle: None,
-            spec: None,
         }
     }
 
@@ -418,15 +417,9 @@ impl<'a> Engine<'a> {
         &mut self.machine
     }
 
-    /// Attaches the executable crash-consistency spec
-    /// ([`SpecMachine`]): every durability event feeds the per-word
-    /// legal-value model, and a crash outcome carries the spec's
-    /// localized verdict alongside the oracle's. Off by default; not
-    /// supported on checkpoint-resumed runs (the checkpoint does not
-    /// carry spec state).
-    pub fn enable_spec(&mut self) {
-        self.spec = Some(SpecMachine::new());
-    }
+    /// Does nothing: every crash outcome carries the oracle's per-word
+    /// verdict. Kept for `perfbench`'s crash workload, which calls it.
+    pub fn enable_spec(&mut self) {}
 
     /// Runs `streams[i]` on core `i`. With `crash_at = Some(c)`, power
     /// fails at cycle `c` with a perfect ADR drain — shorthand for
@@ -517,8 +510,7 @@ impl<'a> Engine<'a> {
     ///
     /// Panics if the stream count differs from the configured core count
     /// or from the checkpoint's core count, if a core's checkpointed
-    /// position does not fit its stream, or if the spec machine is
-    /// enabled.
+    /// position does not fit its stream.
     pub fn run_from_checkpoint(
         self,
         streams: impl Into<TxStreams>,
@@ -861,10 +853,6 @@ impl<'a> Engine<'a> {
     /// Restores `cp` into a fresh machine and cores built over the resumed
     /// streams. `feed_oracle` runs take over the checkpoint's oracle.
     fn restore(&mut self, cores: &mut [CoreRun], cp: &EngineCheckpoint, feed_oracle: bool) {
-        assert!(
-            self.spec.is_none(),
-            "the spec machine requires a from-scratch run (checkpoints do not carry spec state)"
-        );
         assert_eq!(
             cp.cores.len(),
             cores.len(),
@@ -953,21 +941,15 @@ impl<'a> Engine<'a> {
                         // the cut is its own business. Either outcome is
                         // legal — atomically.
                         if let Some(oracle) = &mut self.oracle {
-                            oracle.observe_ambiguous(core.record(false));
-                        }
-                        if let Some(spec) = &mut self.spec {
                             let event = self.machine.pm.events().total();
-                            spec.on_ambiguous(core.id.as_usize(), core.tag, event);
+                            oracle.observe_ambiguous(core.record(false, event));
                         }
                         core.phase = Phase::Done;
                         return;
                     }
                     if let Some(oracle) = &mut self.oracle {
-                        oracle.observe(core.record(true));
-                    }
-                    if let Some(spec) = &mut self.spec {
                         let event = self.machine.pm.events().total();
-                        spec.on_commit(core.id.as_usize(), core.tag, event);
+                        oracle.observe(core.record(true, event));
                     }
                     core.committed += 1;
                     if let Some(sched) = &core.arrivals {
@@ -1036,10 +1018,6 @@ impl<'a> Engine<'a> {
                 let old = self.machine.shadow.load(addr, &self.machine.pm);
                 self.machine.shadow.store(addr, new);
                 core.cur_writes.insert(addr.word_aligned().as_u64(), new);
-                if let Some(spec) = &mut self.spec {
-                    let event = self.machine.pm.events().total();
-                    spec.on_store(core.id.as_usize(), core.tag, addr, new, event);
-                }
                 let before = core.time;
                 self.machine.probe.begin_claim_window();
                 core.time =
@@ -1097,10 +1075,7 @@ impl<'a> Engine<'a> {
         let mut oracle = self.oracle.take().expect("crash plans feed the oracle");
         for core in cores.iter_mut() {
             if core.phase == Phase::InTx {
-                oracle.observe(core.record(false));
-                if let Some(spec) = &mut self.spec {
-                    spec.on_crash_inflight(core.id.as_usize(), core.tag, event_at_cut);
-                }
+                oracle.observe(core.record(false, event_at_cut));
                 inflight += 1;
             }
             core.phase = Phase::Done;
@@ -1147,7 +1122,7 @@ impl<'a> Engine<'a> {
             recovery.replayed_words + recovery.revoked_words,
         );
         let consistency = oracle.verify(&self.machine.pm);
-        let spec = self.spec.as_ref().map(|s| s.verify(&self.machine.pm));
+        let spec = Some(consistency.clone());
         let outcome = CrashOutcome {
             crash_at,
             recovery,
@@ -1718,41 +1693,35 @@ mod tests {
     }
 
     #[test]
-    fn spec_machine_agrees_with_oracle_and_localizes() {
-        // NullScheme loses the committed write; both the digest oracle and
-        // the spec must flag it, and the spec names the exact word with
-        // its history.
+    fn crash_verdict_localizes_the_first_offending_word() {
+        // NullScheme loses both committed writes; the oracle names the
+        // lowest offending word with its legal value and the event index
+        // of its commit.
         let cfg = SimConfig::table_ii(1);
         let txs = vec![tx_writing(&[(0, 7), (64, 8)])];
         let mut scheme = NullScheme::default();
         let mut engine = Engine::new(&cfg, &mut scheme);
-        engine.enable_spec();
         engine.machine_mut().probe.enable_signature();
         let out = engine.run(vec![txs], Some(Cycles::new(1_000_000)));
         let crash = out.crash.expect("crash requested");
-        let spec = crash.spec.expect("spec enabled");
-        assert_eq!(
-            spec.is_consistent(),
-            crash.consistency.is_consistent(),
-            "spec and oracle must agree"
-        );
-        assert!(!spec.is_consistent());
-        let v = spec.first_offender().expect("violation");
+        assert!(!crash.consistency.is_consistent());
+        let v = crash.consistency.first_offender().expect("violation");
         assert_eq!(v.addr, PhysAddr::new(0), "lowest offending word first");
         assert_eq!(v.legal, vec![Word::new(7)]);
-        assert!(v.event > 0, "history carries the durability-event index");
-        assert!(!v.history.is_empty());
+        assert!(v.event > 0, "the commit's durability-event index");
+        assert_eq!(crash.consistency.violations.len(), 2);
         let sig = out.signature.expect("signature recorder enabled");
         assert!(sig.count() > 0, "tx/crash events produce coverage bits");
     }
 
     #[test]
-    fn spec_disabled_runs_report_none() {
+    fn spec_field_mirrors_the_oracle_verdict() {
         let cfg = SimConfig::table_ii(1);
         let txs = vec![tx_writing(&[(0, 7)])];
         let mut scheme = NullScheme::default();
         let out = Engine::new(&cfg, &mut scheme).run(vec![txs], Some(Cycles::new(1_000_000)));
-        assert!(out.crash.expect("crash requested").spec.is_none());
+        let crash = out.crash.expect("crash requested");
+        assert_eq!(crash.spec.as_ref(), Some(&crash.consistency));
         assert!(out.signature.is_none());
     }
 

@@ -35,9 +35,13 @@
 //! [`TxOracle`] built during execution checks the recovered PM image for
 //! **atomic durability**: every committed transaction fully applied,
 //! every uncommitted transaction fully absent, and a commit that raced
-//! the power cut applied all-or-nothing. On crash runs the traffic
-//! counters freeze at the instant of power loss and [`RunOutcome::pm`] is
-//! snapshotted immediately after the oracle's verdict.
+//! the power cut applied all-or-nothing. Each [`Violation`] names its
+//! word, the values the word may legally hold, and the durability-event
+//! index of its last commit, rollback or ambiguous transition, so a
+//! failure is localized to the first offending word. On crash runs the
+//! traffic counters freeze at the instant of power loss and
+//! [`RunOutcome::pm`] is snapshotted immediately after the oracle's
+//! verdict.
 //!
 //! # Examples
 //!
@@ -65,7 +69,6 @@ mod ops;
 mod oracle;
 mod report;
 pub mod schemes;
-mod spec;
 mod stats;
 mod trace;
 
@@ -78,7 +81,6 @@ pub use machine::{Machine, MachineState, ShadowMem};
 pub use ops::{Op, Transaction, TransactionBuilder};
 pub use oracle::{ConsistencyReport, TxOracle, TxRecord, Violation};
 pub use schemes::{EvictAction, LoggingScheme, RecoveryReport, SchemeState, SchemeStats};
-pub use spec::{SpecMachine, SpecReport, SpecViolation, WordEvent, WordEventKind};
 pub use stats::{CoreStats, LatencyStats, SimStats};
 pub use trace::{ArrivalSchedule, TraceProvenance, TraceSet, TxStreams};
 

@@ -221,6 +221,8 @@ fuzz_stage() {
     --fault battery --battery-bytes 64 --execs 8 --no-corpus --jobs 2)
   echo "$broken" | grep -q "minimal repro: evaluate fuzz" \
     || { echo "FAIL: fuzz missed the injected battery violation" >&2; exit 1; }
+  echo "$broken" | grep -q "^  first offending word: 0x" \
+    || { echo "FAIL: fuzz violation names no offending word" >&2; exit 1; }
   # ... and the repro command itself, run verbatim, must reproduce it:
   # the printed command is the contract, not the sweep that found it.
   repro=$(echo "$broken" | sed -n 's/^  minimal repro: evaluate //p' | head -n 1)
@@ -228,6 +230,8 @@ fuzz_stage() {
   repro_out=$("$EVALUATE" $repro)
   echo "$repro_out" | grep -q "^total: [1-9]" \
     || { echo "FAIL: emitted fuzz repro did not reproduce the violation" >&2; exit 1; }
+  echo "$repro_out" | grep -q "^  first offending word: 0x" \
+    || { echo "FAIL: fuzz repro names no offending word" >&2; exit 1; }
 
   echo "== fuzz determinism gate =="
   # The full clean scheme x workload matrix must find nothing, and the
@@ -457,11 +461,10 @@ bench_stage() {
 
   echo "== timed fuzz benchmark =="
   # The coverage-guided crash search end to end: per-candidate crash
-  # resimulation with the spec machine and the signature recorder
-  # enabled. Executions and the summed coverage-bit count over the full
-  # scheme x workload matrix are deterministic fingerprints of the
-  # search itself; wall-clock tracks the per-candidate overhead of the
-  # two observers.
+  # resimulation with the oracle and the signature recorder enabled.
+  # Executions and the summed coverage-bit count over the full scheme x
+  # workload matrix are deterministic fingerprints of the search itself;
+  # wall-clock tracks the per-candidate overhead of the two observers.
   "$EVALUATE" fuzz --txs 16 --execs 6 --jobs 4 --no-result-store --no-corpus \
     --json-dir "$bench_dir/fuzz" > /dev/null 2>&1
   fuzz_ms=$(sed -n 's/.*"wall_ms": *\([0-9.]*\).*/\1/p' "$bench_dir/fuzz/fuzz.json")

@@ -16,7 +16,7 @@ use silo::baselines::{
     BaseScheme, EadrSwLogScheme, FwbScheme, LadScheme, MorLogScheme, SwLogScheme,
 };
 use silo::core::SiloScheme;
-use silo::sim::{CrashPlan, Engine, FaultModel, LoggingScheme, SimConfig};
+use silo::sim::{CheckpointPolicy, CrashPlan, Engine, FaultModel, LoggingScheme, SimConfig};
 use silo::types::Cycles;
 use silo::workloads::{workload_by_name, BankWorkload, HashWorkload, QueueWorkload, Workload};
 
@@ -258,4 +258,41 @@ fn crash_outcome_image_and_stats_are_the_verified_snapshot() {
     let mut scheme = SiloScheme::new(&config);
     let clean = Engine::new(&config, &mut scheme).run(workload.raw_streams(1, 60, 37), None);
     assert_eq!(clean.stats.pm, clean.pm.stats());
+}
+
+/// A violating crash resumed from a checkpoint reports exactly what the
+/// same crash from scratch reports, down to each violation's word, legal
+/// values and event index: checkpoints carry the oracle. A 64 B battery
+/// is too small for Silo's crash records, so the point violates. The
+/// crash falls late, after commits that precede the checkpoint, so the
+/// violations depend on oracle state the checkpoint carried over.
+#[test]
+fn resumed_crash_localizes_violations_like_a_scratch_run() {
+    let config = SimConfig::table_ii(2);
+    let trace = workload_by_name("Hash")
+        .expect("Hash workload")
+        .build_trace(2, 16, 11);
+    let mut scheme = SiloScheme::new(&config);
+    let (clean, ckpts) =
+        Engine::new(&config, &mut scheme).run_recording(&trace, CheckpointPolicy::default());
+    let plan = CrashPlan::at_event(clean.pm.events().total() * 15 / 16)
+        .with_fault(FaultModel::bounded_battery(64));
+    let cp = ckpts
+        .nearest(plan.trigger)
+        .expect("checkpoint before the crash");
+    assert!(cp.event_pos() > 0, "resume from a real prefix");
+
+    let mut scheme = SiloScheme::new(&config);
+    let scratch = Engine::new(&config, &mut scheme).run_with_plan(&trace, Some(plan));
+    let mut scheme = SiloScheme::new(&config);
+    let resumed = Engine::new(&config, &mut scheme).run_resumed(&trace, plan, cp);
+    let scratch = scratch.crash.expect("crash injected").consistency;
+    let resumed = resumed.crash.expect("crash injected").consistency;
+    let first = scratch.first_offender().expect("64 B battery breaks Silo");
+    assert!(first.event > 0 && !first.legal.contains(&first.actual));
+    assert!(
+        scratch.violations.iter().any(|v| v.event < cp.event_pos()),
+        "some violating word was last committed before the checkpoint"
+    );
+    assert_eq!(scratch, resumed);
 }
