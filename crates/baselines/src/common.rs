@@ -3,7 +3,7 @@
 
 use silo_core::{Record, ThreadLogArea, RECORD_BYTES};
 use silo_sim::{Machine, SimConfig};
-use silo_types::{CoreId, Cycles, PhysAddr, TxTag};
+use silo_types::{CoreId, Cycles, PhysAddr, TxTag, LINE_BYTES, WORD_BYTES};
 
 /// Per-core bookkeeping common to Base / FWB / MorLog: the thread's log
 /// area cursor, the in-flight transaction, and the latest WPQ admission
@@ -38,9 +38,17 @@ impl CoreCursor {
     }
 }
 
+/// Most records one log write carries: a cacheline's worth, LAD's
+/// per-word undo records of one line.
+const MAX_RECORDS_PER_WRITE: usize = LINE_BYTES / WORD_BYTES;
+
 /// Writes `records` contiguously into the core's log area via the
 /// write-through path, raising the persist barrier. Returns the admission
 /// time.
+///
+/// # Panics
+///
+/// Panics if `records` holds more than a cacheline's worth of records.
 pub(crate) fn write_records(
     m: &mut Machine,
     cursor: &mut CoreCursor,
@@ -48,13 +56,19 @@ pub(crate) fn write_records(
     now: Cycles,
 ) -> Cycles {
     debug_assert!(!records.is_empty());
+    assert!(
+        records.len() <= MAX_RECORDS_PER_WRITE,
+        "{} records exceed one log write",
+        records.len()
+    );
     let addr = cursor.area.reserve(records.len());
-    let mut bytes = Vec::with_capacity(records.len() * RECORD_BYTES);
-    for r in records {
-        bytes.extend_from_slice(&r.encode());
+    let mut buf = [0u8; MAX_RECORDS_PER_WRITE * RECORD_BYTES];
+    for (slot, r) in buf.chunks_exact_mut(RECORD_BYTES).zip(records) {
+        slot.copy_from_slice(&r.encode());
     }
+    let bytes = &buf[..records.len() * RECORD_BYTES];
     let dropped = m.pm.dropped();
-    let adm = m.pm_write_through(now, addr, &bytes);
+    let adm = m.pm_write_through(now, addr, bytes);
     if m.pm.dropped() != dropped {
         // Power failed at this write: the device never received the
         // records, so the reservation must not survive into the crash

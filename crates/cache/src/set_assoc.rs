@@ -1,5 +1,7 @@
 //! A single set-associative, write-back cache level (metadata only).
 
+use std::cell::RefCell;
+
 use silo_types::{LineAddr, LINE_BYTES};
 
 /// Geometry of one cache level.
@@ -65,11 +67,51 @@ pub struct AccessOutcome {
     pub evicted: Option<Evicted>,
 }
 
-#[derive(Clone, Copy, Debug)]
+/// One 16-byte way slot (the `Option` of a tag, tick and dirty flag took
+/// 24). `stamp` is the LRU tick of the last touch shifted left by one,
+/// with the dirty bit below it; ticks are unique and start at 1, so
+/// ordering stamps orders ticks. The empty slot has stamp 0, so it is
+/// every set's first victim, and a tag no line index reaches, so one
+/// compare tells a hit.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Way {
     tag: u64, // full line index; the set already encodes the low bits
-    dirty: bool,
-    lru: u64,
+    stamp: u64,
+}
+
+impl Way {
+    const EMPTY: Way = Way {
+        tag: u64::MAX,
+        stamp: 0,
+    };
+
+    fn new(tag: u64, tick: u64, dirty: bool) -> Way {
+        Way {
+            tag,
+            stamp: tick << 1 | dirty as u64,
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.stamp == 0
+    }
+
+    fn holds(&self, line: LineAddr) -> bool {
+        self.tag == line.index()
+    }
+
+    fn dirty(&self) -> bool {
+        self.stamp & 1 == 1
+    }
+
+    /// Refreshes the LRU tick, OR-ing `dirty` into the dirty bit.
+    fn touch(&mut self, tick: u64, dirty: bool) {
+        self.stamp = tick << 1 | (self.stamp & 1) | dirty as u64;
+    }
+
+    fn line(&self) -> LineAddr {
+        LineAddr::containing(silo_types::PhysAddr::new(self.tag * LINE_BYTES as u64))
+    }
 }
 
 /// One set-associative, write-back, write-allocate cache level with true
@@ -91,24 +133,51 @@ struct Way {
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
     config: CacheConfig,
+    /// `config.sets()`, kept for indexing: by mask when it is a power of
+    /// two (every Table II level), by `%` otherwise.
+    sets: u64,
     /// All ways in one flat slab, set-major: set `s` owns
-    /// `ways[s * config.ways .. (s + 1) * config.ways]`. One allocation
-    /// per cache level — constructing the Table II hierarchy used to make
-    /// one `Vec` per set (8192 for the L3 alone), a real cost for sweeps
-    /// that build thousands of short-lived machines (crashfuzz).
-    ways: Vec<Option<Way>>,
+    /// `ways[s * config.ways .. (s + 1) * config.ways]`.
+    ways: Vec<Way>,
+    /// One bit per set that has held a line since the last
+    /// [`invalidate_all`](Self::invalidate_all) or restore. Snapshots,
+    /// restores and sweeps visit only these sets, so a short run never
+    /// reads the untouched bulk of the Table II L3's 131 072 slots.
+    touched: Vec<u64>,
     tick: u64,
     hits: u64,
     misses: u64,
     dirty_evictions: u64,
 }
 
+/// Most empty way slabs a thread keeps for reuse: two 8-core Table II
+/// machines' worth (17 levels each), the most a delta cell holds at once.
+const MAX_SPARE_SLABS: usize = 34;
+
+thread_local! {
+    /// Way slabs of caches dropped on this thread, emptied, for the next
+    /// cache of the same size. Fresh memory costs a page fault per 4 KiB
+    /// on first write, and the Table II L3 slab is 2 MB; a steady-state
+    /// delta cell builds two machines and a crash sweep one per crash
+    /// point, so reusing a mapped slab saves most of a machine's set-up.
+    static SPARE_SLABS: RefCell<Vec<Vec<Way>>> = const { RefCell::new(Vec::new()) };
+}
+
 impl SetAssocCache {
     /// Creates an empty cache with the given geometry.
     pub fn new(config: CacheConfig) -> Self {
+        let sets = config.sets();
+        let n = config.ways * sets;
+        let spare = SPARE_SLABS.with(|spare| {
+            let mut spare = spare.borrow_mut();
+            let i = spare.iter().position(|slab| slab.len() == n)?;
+            Some(spare.swap_remove(i))
+        });
         SetAssocCache {
             config,
-            ways: vec![None; config.ways * config.sets()],
+            sets: sets as u64,
+            ways: spare.unwrap_or_else(|| vec![Way::EMPTY; n]),
+            touched: vec![0; sets.div_ceil(64)],
             tick: 0,
             hits: 0,
             misses: 0,
@@ -116,65 +185,88 @@ impl SetAssocCache {
         }
     }
 
+    #[inline]
     fn set_of(&self, line: LineAddr) -> usize {
-        (line.index() % self.config.sets() as u64) as usize
+        let i = line.index();
+        if self.sets.is_power_of_two() {
+            (i & (self.sets - 1)) as usize
+        } else {
+            (i % self.sets) as usize
+        }
+    }
+
+    /// Index range of set `s` within the flat `ways` slab.
+    fn set_slots(&self, s: usize) -> std::ops::Range<usize> {
+        let w = self.config.ways;
+        s * w..(s + 1) * w
     }
 
     /// Index range of `line`'s set within the flat `ways` slab.
     fn set_range(&self, line: LineAddr) -> std::ops::Range<usize> {
-        let w = self.config.ways;
+        self.set_slots(self.set_of(line))
+    }
+
+    /// Whether set `s` has held a line since the last clear.
+    fn is_touched(&self, s: usize) -> bool {
+        self.touched[s / 64] >> (s % 64) & 1 == 1
+    }
+
+    /// The slots of every touched set, ascending — a superset of the
+    /// occupied slots.
+    fn touched_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.sets as usize)
+            .filter(|&s| self.is_touched(s))
+            .flat_map(|s| self.set_slots(s))
+    }
+
+    /// Touches `line` at a fresh tick: OR-s `dirty` into the resident
+    /// copy, or installs it over a victim way. Returns whether it was
+    /// resident and the displaced line.
+    fn touch(&mut self, line: LineAddr, dirty: bool) -> (bool, Option<Evicted>) {
+        self.tick += 1;
+        let tick = self.tick;
         let s = self.set_of(line);
-        s * w..(s + 1) * w
+        let r = self.set_slots(s);
+        // One pass finds a hit or else the victim: the first way with the
+        // least stamp, which is the first empty way if any, else the
+        // least recently used one.
+        let ways = &mut self.ways[r];
+        let (mut victim_idx, mut victim_stamp) = (0, u64::MAX);
+        for (i, way) in ways.iter_mut().enumerate() {
+            if way.holds(line) {
+                way.touch(tick, dirty);
+                return (true, None);
+            }
+            if way.stamp < victim_stamp {
+                (victim_idx, victim_stamp) = (i, way.stamp);
+            }
+        }
+        self.touched[s / 64] |= 1 << (s % 64);
+        let victim = std::mem::replace(&mut ways[victim_idx], Way::new(line.index(), tick, dirty));
+        if victim.is_empty() {
+            return (false, None);
+        }
+        if victim.dirty() {
+            self.dirty_evictions += 1;
+        }
+        let evicted = Evicted {
+            line: victim.line(),
+            dirty: victim.dirty(),
+        };
+        (false, Some(evicted))
     }
 
     /// Accesses `line`, allocating on miss (write-allocate for both reads
     /// and writes). `is_write` marks the line dirty. Returns the hit/miss
     /// outcome and any displaced victim.
     pub fn access(&mut self, line: LineAddr, is_write: bool) -> AccessOutcome {
-        self.tick += 1;
-        let tick = self.tick;
-        let r = self.set_range(line);
-        let ways = &mut self.ways[r];
-
-        if let Some(way) = ways.iter_mut().flatten().find(|w| w.tag == line.index()) {
-            way.lru = tick;
-            way.dirty |= is_write;
+        let (hit, evicted) = self.touch(line, is_write);
+        if hit {
             self.hits += 1;
-            return AccessOutcome {
-                hit: true,
-                evicted: None,
-            };
+        } else {
+            self.misses += 1;
         }
-
-        self.misses += 1;
-        // Prefer an empty way; otherwise evict the least recently used.
-        let victim_idx = match ways.iter().position(|w| w.is_none()) {
-            Some(i) => i,
-            None => ways
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.expect("no empty ways here").lru)
-                .map(|(i, _)| i)
-                .expect("ways is non-empty"),
-        };
-        let evicted = ways[victim_idx].map(|w| {
-            if w.dirty {
-                self.dirty_evictions += 1;
-            }
-            Evicted {
-                line: LineAddr::containing(silo_types::PhysAddr::new(w.tag * LINE_BYTES as u64)),
-                dirty: w.dirty,
-            }
-        });
-        ways[victim_idx] = Some(Way {
-            tag: line.index(),
-            dirty: is_write,
-            lru: tick,
-        });
-        AccessOutcome {
-            hit: false,
-            evicted,
-        }
+        AccessOutcome { hit, evicted }
     }
 
     /// Installs `line` without counting a demand hit or miss — the path a
@@ -182,55 +274,21 @@ impl SetAssocCache {
     /// in L2). If the line is already present its dirty bit is OR-ed;
     /// otherwise it is allocated, possibly displacing a victim.
     pub fn fill(&mut self, line: LineAddr, dirty: bool) -> Option<Evicted> {
-        self.tick += 1;
-        let tick = self.tick;
-        let r = self.set_range(line);
-        let ways = &mut self.ways[r];
-        if let Some(way) = ways.iter_mut().flatten().find(|w| w.tag == line.index()) {
-            way.lru = tick;
-            way.dirty |= dirty;
-            return None;
-        }
-        let victim_idx = match ways.iter().position(|w| w.is_none()) {
-            Some(i) => i,
-            None => ways
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.expect("no empty ways here").lru)
-                .map(|(i, _)| i)
-                .expect("ways is non-empty"),
-        };
-        let evicted = ways[victim_idx].map(|w| {
-            if w.dirty {
-                self.dirty_evictions += 1;
-            }
-            Evicted {
-                line: LineAddr::containing(silo_types::PhysAddr::new(w.tag * LINE_BYTES as u64)),
-                dirty: w.dirty,
-            }
-        });
-        ways[victim_idx] = Some(Way {
-            tag: line.index(),
-            dirty,
-            lru: tick,
-        });
-        evicted
+        self.touch(line, dirty).1
     }
 
     /// Whether the line is present (no LRU update, no allocation).
     pub fn probe(&self, line: LineAddr) -> bool {
         self.ways[self.set_range(line)]
             .iter()
-            .flatten()
-            .any(|w| w.tag == line.index())
+            .any(|w| w.holds(line))
     }
 
     /// Whether the line is present and dirty.
     pub fn is_dirty(&self, line: LineAddr) -> bool {
         self.ways[self.set_range(line)]
             .iter()
-            .flatten()
-            .any(|w| w.tag == line.index() && w.dirty)
+            .any(|w| w.holds(line) && w.dirty())
     }
 
     /// Clears the dirty bit if the line is present (a clwb-style flush
@@ -238,64 +296,65 @@ impl SetAssocCache {
     /// line was dirty.
     pub fn clean(&mut self, line: LineAddr) -> bool {
         let r = self.set_range(line);
-        for way in self.ways[r].iter_mut().flatten() {
-            if way.tag == line.index() {
-                let was = way.dirty;
-                way.dirty = false;
-                return was;
+        match self.ways[r].iter_mut().find(|w| w.holds(line)) {
+            Some(way) => {
+                let was = way.dirty();
+                way.stamp &= !1;
+                was
             }
+            None => false,
         }
-        false
     }
 
     /// Removes the line if present; returns whether it was dirty.
     pub fn invalidate(&mut self, line: LineAddr) -> bool {
         let r = self.set_range(line);
-        for way in self.ways[r].iter_mut() {
-            if let Some(w) = way {
-                if w.tag == line.index() {
-                    let dirty = w.dirty;
-                    *way = None;
-                    return dirty;
-                }
+        match self.ways[r].iter_mut().find(|w| w.holds(line)) {
+            Some(way) => {
+                let dirty = way.dirty();
+                *way = Way::EMPTY;
+                dirty
             }
+            None => false,
         }
-        false
     }
 
-    /// All currently dirty lines, in unspecified order.
+    /// All currently dirty lines, in ascending slot order.
     pub fn dirty_lines(&self) -> Vec<LineAddr> {
-        self.ways
-            .iter()
-            .flatten()
-            .filter(|w| w.dirty)
-            .map(|w| LineAddr::containing(silo_types::PhysAddr::new(w.tag * LINE_BYTES as u64)))
+        self.touched_slots()
+            .map(|i| self.ways[i])
+            .filter(|w| w.dirty())
+            .map(|w| w.line())
             .collect()
     }
 
-    /// Clears every dirty bit and returns the lines that were dirty (a
-    /// force-write-back sweep, as FWB performs periodically).
+    /// Clears every dirty bit and returns the lines that were dirty, in
+    /// ascending slot order (a force-write-back sweep, as FWB performs
+    /// periodically).
     pub fn clean_all(&mut self) -> Vec<LineAddr> {
-        let mut out = Vec::new();
-        for way in self.ways.iter_mut().flatten() {
-            if way.dirty {
-                way.dirty = false;
-                out.push(LineAddr::containing(silo_types::PhysAddr::new(
-                    way.tag * LINE_BYTES as u64,
-                )));
-            }
+        let dirty = self.dirty_lines();
+        for &line in &dirty {
+            self.clean(line);
         }
-        out
+        dirty
     }
 
     /// Drops every line (volatile cache contents at a power failure).
     pub fn invalidate_all(&mut self) {
-        self.ways.fill(None);
+        for s in 0..self.sets as usize {
+            if self.is_touched(s) {
+                let r = self.set_slots(s);
+                self.ways[r].fill(Way::EMPTY);
+            }
+        }
+        self.touched.fill(0);
     }
 
     /// Number of resident lines.
     pub fn occupancy(&self) -> usize {
-        self.ways.iter().flatten().count()
+        self.touched_slots()
+            .filter(|&i| !self.ways[i].is_empty())
+            .count()
     }
 
     /// (hits, misses, dirty evictions) counters.
@@ -309,13 +368,31 @@ impl SetAssocCache {
     }
 }
 
+impl Drop for SetAssocCache {
+    /// Empties the touched sets and hands the slab to the next cache of
+    /// its size built on this thread.
+    fn drop(&mut self) {
+        self.invalidate_all();
+        let slab = std::mem::take(&mut self.ways);
+        // During thread teardown the pool may already be gone; the slab is
+        // then simply freed.
+        let _ = SPARE_SLABS.try_with(|spare| {
+            let mut spare = spare.borrow_mut();
+            if spare.len() < MAX_SPARE_SLABS {
+                spare.push(slab);
+            }
+        });
+    }
+}
+
 /// Sparse captured state of one [`SetAssocCache`] level.
 ///
 /// The flat `ways` slab is dense in slots but sparse in residency at
 /// checkpoint time relative to its full size (the Table II L3 alone is
-/// 131 072 slots ≈ 4 MB when cloned wholesale), so the snapshot keeps only
-/// the occupied slots plus the LRU/counter state; restore clears the slab
-/// with one `fill(None)` and rewrites the occupied entries.
+/// 131 072 slots × 16 B ≈ 2 MB when cloned wholesale), so the snapshot
+/// keeps only the occupied slots plus the LRU/counter state. Capture reads
+/// only the touched sets; restore empties the touched sets and rewrites
+/// the occupied entries.
 #[derive(Clone, Debug)]
 pub struct CacheLevelState {
     config: CacheConfig,
@@ -333,10 +410,9 @@ impl silo_types::Snapshot for SetAssocCache {
         CacheLevelState {
             config: self.config,
             occupied: self
-                .ways
-                .iter()
-                .enumerate()
-                .filter_map(|(i, w)| w.map(|w| (i as u32, w)))
+                .touched_slots()
+                .filter(|&i| !self.ways[i].is_empty())
+                .map(|i| (i as u32, self.ways[i]))
                 .collect(),
             tick: self.tick,
             hits: self.hits,
@@ -350,9 +426,12 @@ impl silo_types::Snapshot for SetAssocCache {
             self.config, state.config,
             "cache snapshot restored into a different geometry"
         );
-        self.ways.fill(None);
+        self.invalidate_all();
+        let w = self.config.ways;
         for &(slot, way) in &state.occupied {
-            self.ways[slot as usize] = Some(way);
+            let slot = slot as usize;
+            self.ways[slot] = way;
+            self.touched[slot / w / 64] |= 1 << (slot / w % 64);
         }
         self.tick = state.tick;
         self.hits = state.hits;
@@ -516,6 +595,85 @@ mod tests {
         let ev = c.fill(line(4), false).expect("eviction");
         assert_eq!(ev.line, line(0));
         assert!(ev.dirty);
+    }
+
+    #[test]
+    fn set_index_matches_the_modulo_reference() {
+        // Mask indexing (power-of-two set counts: every Table II level)
+        // and the `%` fallback (3 sets) against `index % sets`.
+        let three = CacheConfig::new(3 * 2 * LINE_BYTES, 2);
+        assert_eq!(three.sets(), 3);
+        let geometries = [
+            three,
+            CacheConfig::new(32 * 1024, 8),
+            CacheConfig::new(256 * 1024, 8),
+            CacheConfig::new(8 * 1024 * 1024, 16),
+        ];
+        let mut rng = silo_types::SplitMix64::new(0x5e7);
+        for cfg in geometries {
+            let c = SetAssocCache::new(cfg);
+            for _ in 0..10_000 {
+                let l = line(rng.next_u64() % (1 << 42));
+                assert_eq!(c.set_of(l), (l.index() % cfg.sets() as u64) as usize);
+            }
+        }
+        // Lines 0, 3 and 6 share set 0 of the 3-set cache: the third
+        // evicts the LRU first.
+        let mut c = SetAssocCache::new(three);
+        c.access(line(0), false);
+        c.access(line(3), false);
+        c.access(line(1), false);
+        assert_eq!(
+            c.access(line(6), false).evicted.map(|e| e.line),
+            Some(line(0))
+        );
+    }
+
+    /// A random access/fill/clean/invalidate stream over a small L3-like
+    /// geometry, returning every outcome.
+    fn churn(c: &mut SetAssocCache, rng: &mut silo_types::SplitMix64, n: usize) -> Vec<String> {
+        (0..n)
+            .map(|_| {
+                let l = line(rng.next_u64() % 600);
+                match rng.next_u64() % 6 {
+                    0 => format!("{:?}", c.fill(l, rng.next_u64().is_multiple_of(2))),
+                    1 => format!("{}", c.clean(l)),
+                    2 => format!("{}", c.invalidate(l)),
+                    _ => format!("{:?}", c.access(l, rng.next_u64().is_multiple_of(2))),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sparse_snapshots_restore_into_any_cache() {
+        use silo_types::Snapshot;
+        let cfg = CacheConfig::new(64 * 4 * LINE_BYTES, 4); // 64 sets
+        let mut rng = silo_types::SplitMix64::new(0xcafe);
+        let mut a = SetAssocCache::new(cfg);
+        churn(&mut a, &mut rng, 300);
+        let snap = a.snapshot();
+        let occupancy = a.occupancy();
+        let dirty = a.dirty_lines();
+        // Diverge, then restore into the diverged cache, a fresh one, and
+        // one emptied by a power failure.
+        churn(&mut a, &mut rng, 300);
+        let mut fresh = SetAssocCache::new(cfg);
+        let mut wiped = SetAssocCache::new(cfg);
+        churn(&mut wiped, &mut rng, 300);
+        wiped.invalidate_all();
+        assert_eq!(wiped.occupancy(), 0);
+        let tail_seed = rng.next_u64();
+        let mut runs = Vec::new();
+        for c in [&mut a, &mut fresh, &mut wiped] {
+            c.restore(&snap);
+            assert_eq!(c.occupancy(), occupancy);
+            assert_eq!(c.dirty_lines(), dirty);
+            let mut tail = silo_types::SplitMix64::new(tail_seed);
+            runs.push((churn(c, &mut tail, 400), c.clean_all(), c.counters()));
+        }
+        assert_eq!(runs[0], runs[1]);
+        assert_eq!(runs[0], runs[2]);
     }
 
     #[test]

@@ -41,6 +41,7 @@
 
 mod device;
 mod fault;
+mod line;
 mod media;
 mod onpm_buffer;
 mod stats;
@@ -48,6 +49,7 @@ mod wear;
 
 pub use device::{PmDevice, PmDeviceConfig};
 pub use fault::{DrainReport, EventCounters, EventKind, FaultModel};
+pub use line::LineMask;
 pub use media::{Media, PagedMedia};
 pub use onpm_buffer::{OnPmBuffer, DEFAULT_BUFFER_LINES};
 pub use stats::PmStats;

@@ -12,6 +12,7 @@ use std::sync::Arc;
 
 use silo_types::{FxHashMap, PhysAddr, BUF_LINE_BYTES};
 
+use crate::line::{self, LineMask};
 use crate::WearTracker;
 
 /// Bytes per media page (one page-table slab).
@@ -19,6 +20,9 @@ const PAGE_BYTES: usize = 4096;
 
 /// Buffer lines per page. Must match the width of [`Page::touched`].
 const LINES_PER_PAGE: usize = PAGE_BYTES / BUF_LINE_BYTES;
+
+/// What an absent page reads as.
+static ZERO_LINE: [u8; BUF_LINE_BYTES] = [0; BUF_LINE_BYTES];
 
 /// One 4 KiB slab of media plus a per-buffer-line materialization bitmap
 /// (`LINES_PER_PAGE` == 16 bits). The bitmap preserves the reference
@@ -96,16 +100,17 @@ impl PagedMedia {
         PagedMedia::default()
     }
 
-    /// The stored bytes of one buffer line, if its page is materialized.
-    /// Untouched lines within a materialized page read as zero, which is
-    /// also what an absent page denotes — callers may treat `None` as a
-    /// zero line.
+    /// The stored bytes of one buffer line. Untouched lines and absent
+    /// pages read as zero.
     #[inline]
-    fn peek_line(&self, line_idx: u64) -> Option<&[u8]> {
+    fn peek_line(&self, line_idx: u64) -> &[u8; BUF_LINE_BYTES] {
         let (page_idx, slot) = split_line(line_idx);
-        self.pages
-            .get(&page_idx)
-            .map(|p| &p.data[slot * BUF_LINE_BYTES..(slot + 1) * BUF_LINE_BYTES])
+        match self.pages.get(&page_idx) {
+            Some(p) => (&p.data[slot * BUF_LINE_BYTES..(slot + 1) * BUF_LINE_BYTES])
+                .try_into()
+                .expect("one buffer line"),
+            None => &ZERO_LINE,
+        }
     }
 
     /// Mutable access to one buffer line, materializing (and, under a live
@@ -165,14 +170,8 @@ impl PagedMedia {
             bytes.len()
         );
         let line_idx = line_base.buf_line_index();
-        let changed_bits: u64 = match self.peek_line(line_idx) {
-            Some(stored) => stored[offset..offset + bytes.len()]
-                .iter()
-                .zip(bytes)
-                .map(|(old, new)| (old ^ new).count_ones() as u64)
-                .sum(),
-            None => bytes.iter().map(|b| b.count_ones() as u64).sum(),
-        };
+        let stored = &self.peek_line(line_idx)[offset..offset + bytes.len()];
+        let changed_bits = line::changed_bits(stored, bytes);
         if changed_bits == 0 {
             self.dcw_suppressed += 1;
             self.touch(line_idx);
@@ -204,7 +203,7 @@ impl PagedMedia {
         &mut self,
         line_base: PhysAddr,
         data: &[u8; BUF_LINE_BYTES],
-        valid: &[bool; BUF_LINE_BYTES],
+        valid: &LineMask,
     ) -> bool {
         assert_eq!(
             line_base.buf_line_aligned(),
@@ -212,34 +211,13 @@ impl PagedMedia {
             "program_line requires a buffer-line-aligned base"
         );
         let line_idx = line_base.buf_line_index();
-        let mut changed_bits = 0u64;
-        match self.peek_line(line_idx) {
-            Some(stored) => {
-                for i in 0..BUF_LINE_BYTES {
-                    if valid[i] {
-                        changed_bits += (stored[i] ^ data[i]).count_ones() as u64;
-                    }
-                }
-            }
-            None => {
-                for i in 0..BUF_LINE_BYTES {
-                    if valid[i] {
-                        changed_bits += data[i].count_ones() as u64;
-                    }
-                }
-            }
-        }
+        let changed_bits = line::changed_bits_masked(self.peek_line(line_idx), data, valid);
         if changed_bits == 0 {
             self.dcw_suppressed += 1;
             self.touch(line_idx);
             return false;
         }
-        let slab = self.line_slab(line_idx);
-        for i in 0..BUF_LINE_BYTES {
-            if valid[i] {
-                slab[i] = data[i];
-            }
-        }
+        line::merge_masked(self.line_slab(line_idx), data, valid);
         self.line_writes += 1;
         self.bits_programmed += changed_bits;
         self.wear.record_program(line_idx);
@@ -254,15 +232,8 @@ impl PagedMedia {
     /// eagerly; this only corrects which image is architecturally valid.
     /// May cross buffer-line boundaries.
     pub fn revert(&mut self, addr: PhysAddr, bytes: &[u8]) {
-        let mut cur = addr.as_u64();
-        let mut rest = bytes;
-        while !rest.is_empty() {
-            let off = (cur % BUF_LINE_BYTES as u64) as usize;
-            let chunk = rest.len().min(BUF_LINE_BYTES - off);
-            let slab = self.line_slab(cur / BUF_LINE_BYTES as u64);
-            slab[off..off + chunk].copy_from_slice(&rest[..chunk]);
-            cur += chunk as u64;
-            rest = &rest[chunk..];
+        for (line_idx, off, r) in line::buf_line_pieces(addr.as_u64(), bytes.len()) {
+            self.line_slab(line_idx)[off..off + r.len()].copy_from_slice(&bytes[r]);
         }
     }
 
@@ -444,20 +415,12 @@ mod tests {
     fn program_line_counts_one_write_for_many_fragments() {
         let mut m = Media::new();
         let mut data = [0u8; BUF_LINE_BYTES];
-        let mut valid = [false; BUF_LINE_BYTES];
+        let mut valid = LineMask::EMPTY;
         // Three disjoint fragments (two words and a half-cacheline) in one
         // staged line...
-        for i in 0..8 {
-            data[i] = 0x11;
-            valid[i] = true;
-        }
-        for i in 16..24 {
-            data[i] = 0x22;
-            valid[i] = true;
-        }
-        for i in 128..160 {
-            data[i] = 0x33;
-            valid[i] = true;
+        for (range, fill) in [(0..8, 0x11), (16..24, 0x22), (128..160, 0x33)] {
+            valid.set_range(range.start, range.len());
+            data[range].fill(fill);
         }
         // ...cost exactly one media line write.
         assert!(m.program_line(PhysAddr::new(0), &data, &valid));
@@ -471,9 +434,9 @@ mod tests {
     fn program_line_identical_content_suppressed() {
         let mut m = Media::new();
         let mut data = [0u8; BUF_LINE_BYTES];
-        let mut valid = [false; BUF_LINE_BYTES];
+        let mut valid = LineMask::EMPTY;
         data[0] = 5;
-        valid[0] = true;
+        valid.set_range(0, 1);
         assert!(m.program_line(PhysAddr::new(256), &data, &valid));
         assert!(!m.program_line(PhysAddr::new(256), &data, &valid));
         assert_eq!(m.line_writes(), 1);
@@ -485,7 +448,7 @@ mod tests {
     fn program_line_requires_alignment() {
         let mut m = Media::new();
         let data = [0u8; BUF_LINE_BYTES];
-        let valid = [false; BUF_LINE_BYTES];
+        let valid = LineMask::EMPTY;
         m.program_line(PhysAddr::new(8), &data, &valid);
     }
 
@@ -690,15 +653,17 @@ mod tests {
                     (rng.next_u64() % (SPAN / BUF_LINE_BYTES as u64)) * BUF_LINE_BYTES as u64;
                 let mut data = [0u8; BUF_LINE_BYTES];
                 let mut valid = [false; BUF_LINE_BYTES];
+                let mut mask = LineMask::EMPTY;
                 for i in 0..BUF_LINE_BYTES {
                     if rng.next_u64().is_multiple_of(3) {
                         valid[i] = true;
+                        mask.set_range(i, 1);
                         data[i] = (rng.next_u64() % 4) as u8;
                     }
                 }
                 let a = PhysAddr::new(line);
                 assert_eq!(
-                    paged.program_line(a, &data, &valid),
+                    paged.program_line(a, &data, &mask),
                     reference.program_line(a, &data, &valid),
                     "program_line divergence at {a}"
                 );
@@ -745,6 +710,55 @@ mod tests {
             reference.read(PhysAddr::ZERO, span),
             "final images diverge"
         );
+    }
+
+    /// The per-byte data-comparison-write count the word-wide one
+    /// replaced, kept as its reference.
+    fn per_byte_changed_bits(old: &[u8], new: &[u8]) -> u64 {
+        old.iter()
+            .zip(new)
+            .map(|(o, n)| (o ^ n).count_ones() as u64)
+            .sum()
+    }
+
+    #[test]
+    fn word_wide_dcw_matches_per_byte_counting() {
+        // Random bytes at random offsets and lengths (so most writes end in
+        // a 1–7 byte tail), over 400 pages: early writes mostly land on
+        // absent pages, later ones on programmed bytes.
+        let mut rng = silo_types::SplitMix64::new(0xdc_77);
+        let mut m = Media::new();
+        for step in 0..4000 {
+            let line_idx = rng.next_u64() % 400 * LINES_PER_PAGE as u64
+                + rng.next_u64() % LINES_PER_PAGE as u64;
+            let base = PhysAddr::new(line_idx * BUF_LINE_BYTES as u64);
+            let stored = m.read(base, BUF_LINE_BYTES);
+            let before = m.bits_programmed();
+            let want = if step % 2 == 0 {
+                let off = (rng.next_u64() % BUF_LINE_BYTES as u64) as usize;
+                let len = (rng.next_u64() % (BUF_LINE_BYTES - off + 1) as u64) as usize;
+                let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                let want = per_byte_changed_bits(&stored[off..off + len], &bytes);
+                assert_eq!(m.write_masked(base, &bytes, off), want != 0);
+                want
+            } else {
+                let mut data = [0u8; BUF_LINE_BYTES];
+                let mut valid = LineMask::EMPTY;
+                let (mut old, mut new) = (Vec::new(), Vec::new());
+                for i in 0..BUF_LINE_BYTES {
+                    data[i] = rng.next_u64() as u8;
+                    if !rng.next_u64().is_multiple_of(4) {
+                        valid.set_range(i, 1);
+                        old.push(stored[i]);
+                        new.push(data[i]);
+                    }
+                }
+                let want = per_byte_changed_bits(&old, &new);
+                assert_eq!(m.program_line(base, &data, &valid), want != 0);
+                want
+            };
+            assert_eq!(m.bits_programmed() - before, want, "step {step} at {base}");
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@ use std::collections::VecDeque;
 
 use silo_types::{FxHashMap, PhysAddr, BUF_LINE_BYTES};
 
-use crate::{DrainReport, Media};
+use crate::line::buf_line_pieces;
+use crate::{DrainReport, LineMask, Media};
 
 /// Default number of 256 B lines in the on-PM buffer.
 ///
@@ -14,25 +15,30 @@ use crate::{DrainReport, Media};
 /// enough to hold the write burst of a committing transaction.
 pub const DEFAULT_BUFFER_LINES: usize = 64;
 
-/// One staged buffer line: data bytes plus a per-byte valid mask.
+/// One staged buffer line: data bytes plus the set of valid bytes, held
+/// inline in the line map (a fill allocates nothing).
 #[derive(Clone)]
 struct Staged {
-    data: Box<[u8; BUF_LINE_BYTES]>,
-    valid: Box<[bool; BUF_LINE_BYTES]>,
+    data: [u8; BUF_LINE_BYTES],
+    valid: LineMask,
 }
 
 impl Staged {
-    fn new() -> Self {
-        Staged {
-            data: Box::new([0u8; BUF_LINE_BYTES]),
-            valid: Box::new([false; BUF_LINE_BYTES]),
-        }
+    const EMPTY: Staged = Staged {
+        data: [0; BUF_LINE_BYTES],
+        valid: LineMask::EMPTY,
+    };
+
+    /// Stages `bytes` at offset `off` of the line.
+    fn put(&mut self, off: usize, bytes: &[u8]) {
+        self.data[off..off + bytes.len()].copy_from_slice(bytes);
+        self.valid.set_range(off, bytes.len());
     }
 }
 
 impl std::fmt::Debug for Staged {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let valid = self.valid.iter().filter(|&&v| v).count();
+        let valid = self.valid.count();
         write!(f, "Staged({valid}/{BUF_LINE_BYTES} bytes valid)")
     }
 }
@@ -100,24 +106,14 @@ impl OnPmBuffer {
     /// Stages `bytes` at `addr`, splitting across buffer lines as needed.
     /// Capacity pressure drains the oldest staged line into `media`.
     pub fn write(&mut self, addr: PhysAddr, bytes: &[u8], media: &mut Media) {
-        let mut cur = addr.as_u64();
-        let mut rest = bytes;
-        while !rest.is_empty() {
-            let off = (cur % BUF_LINE_BYTES as u64) as usize;
-            let chunk = rest.len().min(BUF_LINE_BYTES - off);
-            self.write_within_line(PhysAddr::new(cur), &rest[..chunk], media);
-            cur += chunk as u64;
-            rest = &rest[chunk..];
+        for (idx, off, r) in buf_line_pieces(addr.as_u64(), bytes.len()) {
+            self.write_within_line(idx, off, &bytes[r], media);
         }
     }
 
-    fn write_within_line(&mut self, addr: PhysAddr, bytes: &[u8], media: &mut Media) {
-        let idx = addr.buf_line_index();
-        let off = addr.offset_in_buf_line();
-        debug_assert!(off + bytes.len() <= BUF_LINE_BYTES);
+    fn write_within_line(&mut self, idx: u64, off: usize, bytes: &[u8], media: &mut Media) {
         if let Some(staged) = self.lines.get_mut(&idx) {
-            staged.data[off..off + bytes.len()].copy_from_slice(bytes);
-            staged.valid[off..off + bytes.len()].fill(true);
+            staged.put(off, bytes);
             self.coalesced_hits += 1;
             return;
         }
@@ -129,10 +125,10 @@ impl OnPmBuffer {
             self.drain_line(oldest, media);
             self.forced_drains += 1;
         }
-        let mut staged = Staged::new();
-        staged.data[off..off + bytes.len()].copy_from_slice(bytes);
-        staged.valid[off..off + bytes.len()].fill(true);
-        self.lines.insert(idx, staged);
+        self.lines
+            .entry(idx)
+            .or_insert(Staged::EMPTY)
+            .put(off, bytes);
         self.fifo.push_back(idx);
         self.fills += 1;
     }
@@ -161,20 +157,14 @@ impl OnPmBuffer {
     /// charged against the residual-energy budget once, when
     /// [`crash_drain`](Self::crash_drain) pushes them to the media.
     pub fn stage_unbounded(&mut self, addr: PhysAddr, bytes: &[u8]) {
-        let mut cur = addr.as_u64();
-        let mut rest = bytes;
-        while !rest.is_empty() {
-            let off = (cur % BUF_LINE_BYTES as u64) as usize;
-            let chunk = rest.len().min(BUF_LINE_BYTES - off);
-            let idx = cur / BUF_LINE_BYTES as u64;
-            let staged = self.lines.entry(idx).or_insert_with(|| {
-                self.fifo.push_back(idx);
-                Staged::new()
-            });
-            staged.data[off..off + chunk].copy_from_slice(&rest[..chunk]);
-            staged.valid[off..off + chunk].fill(true);
-            cur += chunk as u64;
-            rest = &rest[chunk..];
+        for (idx, off, r) in buf_line_pieces(addr.as_u64(), bytes.len()) {
+            self.lines
+                .entry(idx)
+                .or_insert_with(|| {
+                    self.fifo.push_back(idx);
+                    Staged::EMPTY
+                })
+                .put(off, &bytes[r]);
         }
     }
 
@@ -198,9 +188,8 @@ impl OnPmBuffer {
         if let Some(keep) = torn_keep {
             if let Some(head) = self.fifo.front() {
                 let staged = &self.lines[head];
-                let valid_count = staged.valid.iter().filter(|&&v| v).count();
-                if valid_count > keep {
-                    let mask = truncate_mask(&staged.valid, keep);
+                if staged.valid.count() > keep as u64 {
+                    let mask = staged.valid.first(keep);
                     let base = PhysAddr::new(head * BUF_LINE_BYTES as u64);
                     media.program_line(base, &staged.data, &mask);
                     report.torn_lines += 1;
@@ -213,7 +202,7 @@ impl OnPmBuffer {
                 .lines
                 .remove(&idx)
                 .expect("fifo entries always have a staged line");
-            let valid_count = staged.valid.iter().filter(|&&v| v).count() as u64;
+            let valid_count = staged.valid.count();
             let base = PhysAddr::new(idx * BUF_LINE_BYTES as u64);
             if valid_count <= remaining {
                 media.program_line(base, &staged.data, &staged.valid);
@@ -222,7 +211,7 @@ impl OnPmBuffer {
                 report.drained_bytes += valid_count;
             } else if remaining > 0 {
                 // The budget dies mid-program: a torn partial line.
-                let mask = truncate_mask(&staged.valid, remaining as usize);
+                let mask = staged.valid.first(remaining as usize);
                 media.program_line(base, &staged.data, &mask);
                 report.torn_lines += 1;
                 report.drained_bytes += remaining;
@@ -253,37 +242,31 @@ impl OnPmBuffer {
         if self.lines.is_empty() {
             return;
         }
-        let mut cur = addr.as_u64();
-        let mut pos = 0;
-        while pos < out.len() {
-            let off = (cur % BUF_LINE_BYTES as u64) as usize;
-            let chunk = (out.len() - pos).min(BUF_LINE_BYTES - off);
-            if let Some(staged) = self.lines.get(&(cur / BUF_LINE_BYTES as u64)) {
-                for i in 0..chunk {
-                    if staged.valid[off + i] {
-                        out[pos + i] = staged.data[off + i];
+        for (idx, off, r) in buf_line_pieces(addr.as_u64(), out.len()) {
+            if let Some(staged) = self.lines.get(&idx) {
+                for (i, b) in out[r].iter_mut().enumerate() {
+                    if staged.valid.contains(off + i) {
+                        *b = staged.data[off + i];
                     }
                 }
             }
-            cur += chunk as u64;
-            pos += chunk;
         }
     }
 
     /// Updates any staged copy of the written bytes *without* allocating
     /// new lines — used by the write-through path to keep a staged line
     /// coherent with bytes that bypassed the buffer. Returns how many bytes
-    /// were patched into staged lines.
+    /// were patched into staged lines. One line lookup per buffer line the
+    /// bytes cover, none when nothing is staged.
     pub fn patch_if_staged(&mut self, addr: PhysAddr, bytes: &[u8]) -> usize {
+        if self.lines.is_empty() {
+            return 0;
+        }
         let mut patched = 0;
-        for (i, &b) in bytes.iter().enumerate() {
-            let a = addr.as_u64() + i as u64;
-            let idx = a / BUF_LINE_BYTES as u64;
+        for (idx, off, r) in buf_line_pieces(addr.as_u64(), bytes.len()) {
             if let Some(staged) = self.lines.get_mut(&idx) {
-                let off = (a % BUF_LINE_BYTES as u64) as usize;
-                staged.data[off] = b;
-                staged.valid[off] = true;
-                patched += 1;
+                patched += r.len();
+                staged.put(off, &bytes[r]);
             }
         }
         patched
@@ -313,23 +296,6 @@ impl OnPmBuffer {
     pub fn capacity(&self) -> usize {
         self.capacity
     }
-}
-
-/// A copy of `valid` keeping only the first `keep` set bytes — the
-/// persisted prefix of a torn line program.
-fn truncate_mask(valid: &[bool; BUF_LINE_BYTES], keep: usize) -> [bool; BUF_LINE_BYTES] {
-    let mut mask = *valid;
-    let mut kept = 0;
-    for m in mask.iter_mut() {
-        if *m {
-            if kept < keep {
-                kept += 1;
-            } else {
-                *m = false;
-            }
-        }
-    }
-    mask
 }
 
 #[cfg(test)]
@@ -516,6 +482,31 @@ mod tests {
         assert_eq!(report.discarded_lines, 1);
         assert_eq!(media.read(PhysAddr::new(0), 4), vec![9; 4]);
         assert_eq!(media.read(PhysAddr::new(4), 60), vec![0; 60]);
+    }
+
+    #[test]
+    fn patch_if_staged_patches_exactly_the_staged_bytes() {
+        let (mut media, mut buf) = setup();
+        assert_eq!(
+            buf.patch_if_staged(PhysAddr::new(0), &[1; 8]),
+            0,
+            "empty buffer"
+        );
+        buf.write(PhysAddr::new(256 + 16), &[5; 8], &mut media); // stages line 1
+                                                                 // Bytes 200..300 span line 0 (unstaged) and line 1 (staged): only
+                                                                 // line 1's 44 bytes are patched, and line 0 stays unstaged.
+        assert_eq!(buf.patch_if_staged(PhysAddr::new(200), &[9; 100]), 44);
+        assert_eq!(buf.occupancy(), 1);
+        assert_eq!(
+            buf.read_through(PhysAddr::new(200), 100, &media),
+            [vec![0; 56], vec![9; 44]].concat(),
+            "line 0 reads the media, line 1 the patched bytes"
+        );
+        // The patch made bytes 256..300 valid: the drain programs them all.
+        buf.flush_all(&mut media);
+        assert_eq!(media.read(PhysAddr::new(256), 44), vec![9; 44]);
+        assert_eq!(media.read(PhysAddr::new(200), 56), vec![0; 56]);
+        assert_eq!(media.line_writes(), 1);
     }
 
     #[test]

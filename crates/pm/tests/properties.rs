@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 
 use proptest::prelude::*;
-use silo_pm::{Media, PmDevice, PmDeviceConfig};
+use silo_pm::{LineMask, Media, PmDevice, PmDeviceConfig};
 use silo_types::{PhysAddr, BUF_LINE_BYTES};
 
 #[derive(Debug, Clone)]
@@ -213,12 +213,14 @@ proptest! {
                 MediaOp::ProgramLine { line, data, valid } => {
                     let base = line * BUF_LINE_BYTES as u64;
                     let mut d = [0u8; BUF_LINE_BYTES];
-                    let mut v = [false; BUF_LINE_BYTES];
                     d.copy_from_slice(data);
-                    v.copy_from_slice(valid);
+                    let mut v = LineMask::EMPTY;
+                    for (i, _) in valid.iter().enumerate().filter(|(_, &on)| on) {
+                        v.set_range(i, 1);
+                    }
                     let got = media.program_line(PhysAddr::new(base), &d, &v);
                     let new: Vec<(u64, u8)> = (0..BUF_LINE_BYTES)
-                        .filter(|&i| v[i])
+                        .filter(|&i| v.contains(i))
                         .map(|i| (base + i as u64, d[i]))
                         .collect();
                     prop_assert_eq!(got, model.write(base, &new), "program_line verdict");

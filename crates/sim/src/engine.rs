@@ -282,8 +282,10 @@ struct CoreRun {
     phase: Phase,
     txid: TxId,
     tag: TxTag,
-    // Reused across transactions (cleared at tx_begin, never dropped), so
-    // the steady-state hot loop allocates nothing per transaction.
+    // The open transaction's write set, kept only on runs that feed the
+    // oracle. Reused across transactions (cleared at tx_begin, never
+    // dropped), so the steady-state hot loop allocates nothing per
+    // transaction.
     cur_writes: FxHashMap<u64, Word>,
     committed: u64,
     // Open-system admission: a transaction may not begin before
@@ -1015,9 +1017,12 @@ impl<'a> Engine<'a> {
                     (core.time - before).as_u64(),
                 );
                 self.handle_evictions(core, &acc.pm_writebacks);
-                let old = self.machine.shadow.load(addr, &self.machine.pm);
-                self.machine.shadow.store(addr, new);
-                core.cur_writes.insert(addr.word_aligned().as_u64(), new);
+                let old = self.machine.shadow.replace(addr, new, &self.machine.pm);
+                // The write set only feeds the oracle's per-transaction
+                // records; runs without an oracle never read it.
+                if self.oracle.is_some() {
+                    core.cur_writes.insert(addr.word_aligned().as_u64(), new);
+                }
                 let before = core.time;
                 self.machine.probe.begin_claim_window();
                 core.time =

@@ -1,6 +1,8 @@
 //! The simulated machine: caches + memory controller + PM + architectural
 //! state.
 
+use std::sync::Arc;
+
 use silo_cache::{CacheHierarchy, CacheHierarchyState};
 use silo_memctrl::{Admission, MemCtrl};
 use silo_pm::PmDevice;
@@ -9,6 +11,42 @@ use silo_types::{Cycles, FxHashMap, LineAddr, PhysAddr, Snapshot, Word, LINE_BYT
 
 use crate::SimConfig;
 
+/// Words per [`ShadowMem`] page: 4 KiB of architectural state, the size
+/// of a media page.
+const SHADOW_PAGE_WORDS: usize = 512;
+
+/// Words per cacheline.
+const LINE_WORDS: usize = LINE_BYTES / WORD_BYTES;
+
+/// One page of the shadow: the stored words plus the set of slots that
+/// hold one (bit `i % 64` of `present[i / 64]` for slot `i`).
+#[derive(Clone, Debug)]
+struct ShadowPage {
+    words: [Word; SHADOW_PAGE_WORDS],
+    present: [u64; SHADOW_PAGE_WORDS / 64],
+}
+
+impl ShadowPage {
+    const EMPTY: ShadowPage = ShadowPage {
+        words: [Word::ZERO; SHADOW_PAGE_WORDS],
+        present: [0; SHADOW_PAGE_WORDS / 64],
+    };
+
+    fn has(&self, slot: usize) -> bool {
+        self.present[slot / 64] >> (slot % 64) & 1 == 1
+    }
+}
+
+/// The page index and slot of the word containing `addr`.
+#[inline]
+fn shadow_slot(addr: PhysAddr) -> (u64, usize) {
+    let w = addr.as_u64() / WORD_BYTES as u64;
+    (
+        w / SHADOW_PAGE_WORDS as u64,
+        (w % SHADOW_PAGE_WORDS as u64) as usize,
+    )
+}
+
 /// The architectural (CPU-visible) memory image.
 ///
 /// With write-back caches, persistent memory lags the program's view of
@@ -16,6 +54,10 @@ use crate::SimConfig;
 /// never written fall through to the PM device's logical contents. At a
 /// power failure the shadow is discarded together with the caches — the
 /// machine's surviving state is exactly the PM device.
+///
+/// Storage is paged like the media: 4 KiB pages of words plus a
+/// stored-word bitmap, held in [`Arc`] so a snapshot shares every page and
+/// a store after it copies only the page it lands in.
 ///
 /// # Examples
 ///
@@ -32,48 +74,93 @@ use crate::SimConfig;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct ShadowMem {
-    words: FxHashMap<u64, Word>,
+    pages: FxHashMap<u64, Arc<ShadowPage>>,
+    len: usize,
 }
 
 impl ShadowMem {
     /// Records a store (architectural update; instant).
     pub fn store(&mut self, addr: PhysAddr, value: Word) {
-        self.words.insert(addr.word_aligned().as_u64(), value);
+        *self.slot_mut(addr).0 = value;
+    }
+
+    /// Records a store and returns the word's previous architectural
+    /// value: [`load`](Self::load) then [`store`](Self::store) with one
+    /// page lookup.
+    pub fn replace(&mut self, addr: PhysAddr, value: Word, pm: &PmDevice) -> Word {
+        let (slot, held) = self.slot_mut(addr);
+        let old = if held {
+            *slot
+        } else {
+            pm.peek_word(addr.word_aligned())
+        };
+        *slot = value;
+        old
+    }
+
+    /// The slot of the word at `addr` and whether it held a stored word:
+    /// materializes (or, under a live snapshot, copies) its page and marks
+    /// the slot stored.
+    fn slot_mut(&mut self, addr: PhysAddr) -> (&mut Word, bool) {
+        let (page, slot) = shadow_slot(addr);
+        let p = Arc::make_mut(
+            self.pages
+                .entry(page)
+                .or_insert_with(|| Arc::new(ShadowPage::EMPTY)),
+        );
+        let bit = 1 << (slot % 64);
+        let held = p.present[slot / 64] & bit != 0;
+        if !held {
+            p.present[slot / 64] |= bit;
+            self.len += 1;
+        }
+        (&mut p.words[slot], held)
     }
 
     /// The architectural value of the word at `addr`.
     pub fn load(&self, addr: PhysAddr, pm: &PmDevice) -> Word {
-        let key = addr.word_aligned().as_u64();
-        match self.words.get(&key) {
-            Some(w) => *w,
-            None => pm.peek_word(PhysAddr::new(key)),
+        let (page, slot) = shadow_slot(addr);
+        match self.pages.get(&page) {
+            Some(p) if p.has(slot) => p.words[slot],
+            _ => pm.peek_word(addr.word_aligned()),
         }
     }
 
     /// The architectural image of a full cacheline (what a dirty eviction
-    /// or an explicit line flush writes to PM).
+    /// or an explicit line flush writes to PM): one 64 B peek of the PM
+    /// device, skipped when the shadow holds all eight words, overlaid
+    /// with the words the shadow holds.
     pub fn line_image(&self, line: LineAddr, pm: &PmDevice) -> [u8; LINE_BYTES] {
         let mut out = [0u8; LINE_BYTES];
-        for (i, waddr) in line.words().enumerate() {
-            let w = self.load(waddr, pm);
-            out[i * WORD_BYTES..(i + 1) * WORD_BYTES].copy_from_slice(&w.to_le_bytes());
+        let (page, first) = shadow_slot(line.base());
+        let page = self.pages.get(&page);
+        let present = page.map_or(0, |p| p.present[first / 64] >> (first % 64) & 0xff);
+        if present != 0xff {
+            pm.peek_into(line.base(), &mut out);
+        }
+        if let Some(p) = page {
+            for i in (0..LINE_WORDS).filter(|i| present >> i & 1 == 1) {
+                out[i * WORD_BYTES..(i + 1) * WORD_BYTES]
+                    .copy_from_slice(&p.words[first + i].to_le_bytes());
+            }
         }
         out
     }
 
     /// Discards all volatile architectural state (power failure).
     pub fn clear(&mut self) {
-        self.words.clear();
+        self.pages.clear();
+        self.len = 0;
     }
 
     /// Number of words currently tracked.
     pub fn len(&self) -> usize {
-        self.words.len()
+        self.len
     }
 
     /// Whether no word has been stored.
     pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
+        self.len == 0
     }
 }
 
@@ -284,6 +371,78 @@ mod tests {
         assert_eq!(u64::from_le_bytes(img[0..8].try_into().unwrap()), 0xAA);
         assert_eq!(u64::from_le_bytes(img[8..16].try_into().unwrap()), 0xBB);
         assert_eq!(u64::from_le_bytes(img[16..24].try_into().unwrap()), 0);
+    }
+
+    /// The word-by-word line image the line-wide one replaced, kept as
+    /// its reference.
+    fn line_image_by_words(m: &Machine, line: LineAddr) -> [u8; LINE_BYTES] {
+        let mut out = [0u8; LINE_BYTES];
+        for (i, waddr) in line.words().enumerate() {
+            let w = m.shadow.load(waddr, &m.pm);
+            out[i * WORD_BYTES..(i + 1) * WORD_BYTES].copy_from_slice(&w.to_le_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn line_image_matches_word_by_word_loads() {
+        // Shadow stores (each returning the value a load saw before it),
+        // staged PM words (the 64-line on-PM buffer drains under pressure
+        // over this 64 KiB span), write-through bytes that reach the media
+        // directly, whole shadowed lines and power-loss clears, in seeded
+        // random order; every line image must equal the eight word loads
+        // it replaced.
+        const SPAN: u64 = 64 * 1024;
+        let mut rng = silo_types::SplitMix64::new(0x11_4e);
+        let mut m = machine();
+        for step in 0..6000 {
+            let addr = PhysAddr::new(rng.next_u64() % SPAN).word_aligned();
+            let value = Word::new(rng.next_u64());
+            match rng.next_u64() % 8 {
+                0 | 1 => {
+                    let want = m.shadow.load(addr, &m.pm);
+                    assert_eq!(m.shadow.replace(addr, value, &m.pm), want, "step {step}");
+                }
+                2 | 3 => m.pm.write_word(addr, value),
+                4 => {
+                    m.pm.write_through(addr, &value.to_le_bytes()[..5]);
+                }
+                5 => {
+                    for waddr in addr.line().words() {
+                        m.shadow.store(waddr, Word::new(rng.next_u64()));
+                    }
+                }
+                6 if step % 500 == 0 => m.shadow.clear(),
+                _ => {}
+            }
+            let line = PhysAddr::new(rng.next_u64() % SPAN).line();
+            assert_eq!(
+                m.line_image(line),
+                line_image_by_words(&m, line),
+                "step {step}, line {:#x}",
+                line.base().as_u64()
+            );
+        }
+        assert!(m.pm.stats().buffer_forced_drains > 0, "the buffer drained");
+    }
+
+    #[test]
+    fn shadow_len_counts_distinct_words() {
+        let mut s = ShadowMem::default();
+        s.store(PhysAddr::new(8), Word::new(1));
+        s.store(PhysAddr::new(12), Word::new(2)); // same word
+        s.store(PhysAddr::new(8 * SHADOW_PAGE_WORDS as u64), Word::new(3)); // next page
+        assert_eq!(s.len(), 2);
+        let snap = s.clone();
+        s.store(PhysAddr::new(16), Word::new(4));
+        assert_eq!((s.len(), snap.len()), (3, 2));
+        let pm = PmDevice::new(silo_pm::PmDeviceConfig::default());
+        assert_eq!(
+            snap.load(PhysAddr::new(16), &pm),
+            Word::ZERO,
+            "snapshot is unshared"
+        );
+        assert_eq!(snap.load(PhysAddr::new(8), &pm), Word::new(2));
     }
 
     #[test]

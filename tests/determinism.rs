@@ -96,3 +96,41 @@ fn forked_delta_runs_match_scratch_runs() {
         scratch(20).to_json().to_string()
     );
 }
+
+#[test]
+fn feeding_the_oracle_leaves_clean_run_stats_unchanged() {
+    // A checkpoint-recording run feeds the oracle, and only such runs
+    // keep each transaction's write set; a plain run keeps neither. The
+    // simulated machine must not notice: for every scheme, the clean-run
+    // statistics of both runs are identical.
+    use silo::baselines::{EadrSwLogScheme, SwLogScheme};
+    use silo::sim::CheckpointPolicy;
+    let config = SimConfig::table_ii(2);
+    let trace = workload_by_name("TPCC")
+        .expect("tpcc")
+        .build_trace(2, 40, 11);
+    type MakeScheme = fn(&SimConfig) -> Box<dyn LoggingScheme>;
+    let schemes: [MakeScheme; 7] = [
+        |c| Box::new(BaseScheme::new(c)),
+        |c| Box::new(FwbScheme::new(c)),
+        |c| Box::new(MorLogScheme::new(c)),
+        |c| Box::new(LadScheme::new(c)),
+        |c| Box::new(SwLogScheme::new(c)),
+        |c| Box::new(EadrSwLogScheme::new(c)),
+        |c| Box::new(SiloScheme::new(c)),
+    ];
+    for make in schemes {
+        let mut plain = make(&config);
+        let name = plain.name();
+        let clean = Engine::new(&config, plain.as_mut()).run(&trace, None);
+        let mut recorded = make(&config);
+        let (fed, cps) = Engine::new(&config, recorded.as_mut())
+            .run_recording(&trace, CheckpointPolicy::every(64));
+        assert!(!cps.is_empty(), "{name}: the recording run fed the oracle");
+        assert_eq!(
+            clean.stats.to_json().to_string(),
+            fed.stats.to_json().to_string(),
+            "{name}: clean-run stats differ with the oracle fed"
+        );
+    }
+}
